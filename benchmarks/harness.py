@@ -244,72 +244,3 @@ def load_rocksdb(scale: float = BENCH_SCALE) -> LoadedWorkload:
     loaded.psf = {"app": psf_app, "pread64": psf_pread, "pagecache-add": psf_pc_add}
     _CACHE[key] = loaded
     return loaded
-
-
-# ----------------------------------------------------------------------
-# Ingest smoke benchmark (single-record vs batched push)
-# ----------------------------------------------------------------------
-def run_ingest_smoke(
-    duration_s: float = 2.5,
-    record_size: int = 64,
-    batch_size: int = 512,
-    out_path: str = "BENCH_ingest.json",
-) -> dict:
-    """Quick (~2x ``duration_s``) ingest microbenchmark: records/second of
-    per-record ``push`` vs batched ``push_many``, written to ``out_path``
-    as JSON.  This is the acceptance check for the batched fast path — the
-    reported ``speedup`` is what the PR's throughput claim refers to.
-    """
-    import json
-    import time
-
-    from repro.core import Loom, LoomConfig, VirtualClock
-    from repro.workloads import fixed_size_records
-
-    payloads = fixed_size_records(batch_size, record_size)
-
-    def measure(batched: bool) -> float:
-        loom = Loom(
-            LoomConfig(chunk_size=64 * 1024, record_block_size=1 << 22),
-            clock=VirtualClock(),
-        )
-        loom.define_source(1)
-        pushed = 0
-        start = time.perf_counter()
-        deadline = start + duration_s
-        if batched:
-            push_many = loom.push_many
-            while time.perf_counter() < deadline:
-                push_many(1, payloads)
-                pushed += batch_size
-        else:
-            push = loom.push
-            while time.perf_counter() < deadline:
-                for p in payloads:
-                    push(1, p)
-                pushed += batch_size
-        elapsed = time.perf_counter() - start
-        loom.close()
-        return pushed / elapsed
-
-    single = measure(batched=False)
-    batched = measure(batched=True)
-    result = {
-        "bench": "ingest_smoke",
-        "record_size_bytes": record_size,
-        "batch_size": batch_size,
-        "duration_s_per_mode": duration_s,
-        "records_per_s_single": round(single),
-        "records_per_s_batched": round(batched),
-        "speedup": round(batched / single, 2),
-    }
-    with open(out_path, "w") as f:
-        json.dump(result, f, indent=2)
-        f.write("\n")
-    return result
-
-
-if __name__ == "__main__":
-    import json
-
-    print(json.dumps(run_ingest_smoke(), indent=2))

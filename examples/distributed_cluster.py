@@ -43,17 +43,19 @@ def main() -> None:
 
     print("fleet-wide aggregates (merged from per-node partials):")
     for method in ("count", "max", "mean"):
-        value = coordinator.global_aggregate("syscall", "latency", t_range, method)
+        value = coordinator.global_aggregate(
+            "syscall", "latency", t_range, method
+        ).value
         print(f"  {method:>5}: {value:,.2f}")
 
-    p999 = coordinator.global_percentile("syscall", "latency", t_range, 99.9)
+    p999 = coordinator.global_percentile("syscall", "latency", t_range, 99.9).value
     print(f"  global p99.9 = {p999:.2f} µs")
 
     # Verify exactness against a full gather (which the coordinator never
     # actually needs to do).
     all_values = []
     for node in nodes:
-        records = node.daemon.loom.raw_scan(events.SRC_SYSCALL, t_range)
+        records = node.daemon.loom.scan(events.SRC_SYSCALL, t_range).records
         all_values.extend(events.latency_value(r.payload) for r in records)
     reference = float(np.percentile(all_values, 99.9, method="inverted_cdf"))
     assert p999 == reference
@@ -65,14 +67,14 @@ def main() -> None:
     for node in nodes:
         handle = node.daemon.source("syscall")
         index_id = node.daemon.index_id("syscall", "latency")
-        mean = node.daemon.loom.indexed_aggregate(
+        mean = node.daemon.loom.aggregate(
             handle.source_id, index_id, t_range, "mean"
         ).value
         marker = "  <-- outlier host" if mean > 30 else ""
         print(f"  {node.name}: {mean:7.2f} µs{marker}")
 
     scans = coordinator.fan_out_scan("syscall", (t_range[1] - 10**9, t_range[1]))
-    total = sum(len(v) for v in scans.values())
+    total = sum(result.count for result in scans.values())
     print(f"\ncross-node scan of the last virtual second: {total:,} records "
           f"from {len(scans)} hosts")
 

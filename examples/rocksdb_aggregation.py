@@ -54,8 +54,8 @@ def main() -> None:
     p1 = phases[0]
     t1 = (p1.t_start_ns, p1.t_end_ns)
     app_index = daemon.index_id("app", "latency")
-    max_result = loom.indexed_aggregate(events.SRC_APP, app_index, t1, "max")
-    tail_result = loom.indexed_aggregate(
+    max_result = loom.aggregate(events.SRC_APP, app_index, t1, "max")
+    tail_result = loom.aggregate(
         events.SRC_APP, app_index, t1, "percentile", percentile=99.99
     )
     print("\nphase 1 — application request latency:")
@@ -70,7 +70,7 @@ def main() -> None:
     p2 = phases[1]
     t2 = (p2.t_start_ns, p2.t_end_ns)
     pread_index = daemon.index_id("syscall", "pread-latency")
-    pread_max = loom.indexed_aggregate(
+    pread_max = loom.aggregate(
         events.SRC_SYSCALL, pread_index, t2, "max"
     )
     pread_tail = subset_percentile(

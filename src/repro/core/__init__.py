@@ -40,7 +40,6 @@ from .metrics import (
     RegistrySnapshot,
 )
 from .operators import (
-    AggregateResult,
     QueryResult,
     QueryStats,
     QueryTrace,
@@ -53,7 +52,6 @@ from .record import HEADER_SIZE, Record
 from .recovery import (
     RecoveredSource,
     RecoveredState,
-    fsck,
     recover,
     scan_persisted_records,
     scan_persisted_summaries,
@@ -68,7 +66,6 @@ from .timestamp_index import TimestampIndex
 
 __all__ = [
     "AddressError",
-    "AggregateResult",
     "ArchiveLog",
     "ChunkMigrator",
     "BinStats",
@@ -127,7 +124,6 @@ __all__ = [
     "VirtualClock",
     "corrupt_byte",
     "exponential_edges",
-    "fsck",
     "indexed_aggregate",
     "indexed_scan",
     "micros",

@@ -92,6 +92,13 @@ _RETIRE_NAMES = {RETIRE_DROP: "drop", RETIRE_DOWNSAMPLE: "downsample"}
 
 _NULL = 0xFFFF_FFFF_FFFF_FFFF
 
+#: zlib level for both streams of every ``DATA`` frame.
+COMPRESSION_LEVEL = 6
+
+#: Decompressed chunks kept in the read cache (one owned ``chunk_size``
+#: buffer each).
+CACHE_CHUNKS = 4
+
 
 # ----------------------------------------------------------------------
 # varint / zigzag primitives
@@ -432,15 +439,11 @@ class ArchiveLog:
     def __init__(
         self,
         storage: Storage,
-        journal: Optional[Storage] = None,
-        compression_level: int = 6,
-        cache_chunks: int = 4,
+        journal: Storage,
         decompress_counter: Optional[Counter] = None,
     ) -> None:
         self._storage = storage
         self._journal = journal
-        self._level = compression_level
-        self._cache_chunks = max(1, cache_chunks)
         self._decompress_counter = decompress_counter
         self._entries: List[ArchiveEntry] = []
         self._starts: List[int] = []
@@ -460,9 +463,7 @@ class ArchiveLog:
     def open(
         cls,
         storage: Storage,
-        journal: Optional[Storage] = None,
-        compression_level: int = 6,
-        cache_chunks: int = 4,
+        journal: Storage,
         decompress_counter: Optional[Counter] = None,
     ) -> "ArchiveLog":
         """Load an archive log, truncating any unratified suffix.
@@ -471,21 +472,14 @@ class ArchiveLog:
         ratified — their chunks are still hot-authoritative — so dropping
         them loses nothing and keeps the append position consistent.
         """
-        log = cls(
-            storage,
-            journal,
-            compression_level=compression_level,
-            cache_chunks=cache_chunks,
-            decompress_counter=decompress_counter,
-        )
+        log = cls(storage, journal, decompress_counter=decompress_counter)
         scan = scan_archive_frames(storage)
         if storage.size > scan.ratified_end:
             storage.truncate(scan.ratified_end)
             log.repairs.append(
                 f"archive: truncated unratified suffix to {scan.ratified_end}"
             )
-        if journal is not None:
-            _trim_frame_journal(journal, scan.ratified_end)
+        _trim_frame_journal(journal, scan.ratified_end)
         log.recycled_upto = scan.recycled_upto
         log.retention_floor = scan.retention_floor
         log.retention_mode = scan.retention_mode
@@ -503,13 +497,11 @@ class ArchiveLog:
 
     def sync(self) -> None:
         self._storage.sync()
-        if self._journal is not None:
-            self._journal.sync()
+        self._journal.sync()
 
     def close(self) -> None:
         self._storage.close()
-        if self._journal is not None:
-            self._journal.close()
+        self._journal.close()
 
     # -- write side (migrator / retention only) --------------------------
     def _append_frame(
@@ -542,10 +534,9 @@ class ArchiveLog:
             + payload_stream
         )
         address = self._storage.append(frame)
-        if self._journal is not None:
-            self._journal.append(
-                FRAME_ENTRY.pack(address, len(frame), zlib.crc32(frame))
-            )
+        self._journal.append(
+            FRAME_ENTRY.pack(address, len(frame), zlib.crc32(frame))
+        )
         return address
 
     def append_chunk(
@@ -555,8 +546,8 @@ class ArchiveLog:
         header_stream, payload_blob, count, flags = encode_chunk_streams(
             region, start_addr
         )
-        header_comp = zlib.compress(header_stream, self._level)
-        payload_comp = zlib.compress(payload_blob, self._level)
+        header_comp = zlib.compress(header_stream, COMPRESSION_LEVEL)
+        payload_comp = zlib.compress(payload_blob, COMPRESSION_LEVEL)
         frame_addr = self._append_frame(
             KIND_DATA,
             flags,
@@ -623,7 +614,7 @@ class ArchiveLog:
 
     @property
     def journal_size(self) -> int:
-        return self._journal.size if self._journal is not None else 0
+        return self._journal.size
 
     @property
     def compression_ratio(self) -> float:
@@ -684,7 +675,7 @@ class ArchiveLog:
         if self._decompress_counter is not None:
             self._decompress_counter.inc()
         self._cache[chunk_id] = region
-        while len(self._cache) > self._cache_chunks:
+        while len(self._cache) > CACHE_CHUNKS:
             try:
                 # GIL-atomic pop of the oldest insertion; advisory LRU —
                 # a racing reader may evict a fresh entry, which only

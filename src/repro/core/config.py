@@ -11,7 +11,6 @@ harness picks sizes appropriate to each experiment.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,23 +28,11 @@ class TierConfig:
             thread whenever a chunk is finalized past the high watermark.
             Off leaves migration to explicit ``Loom.migrate()`` calls or
             an external driver.
-        compression_level: zlib level for both the header-column stream
-            and the payload stream of every archive frame.
-        cache_chunks: decompressed chunks kept in the archive read cache
-            (each entry is one ``chunk_size`` owned buffer).
-        punch_holes: after recycling a migrated prefix of a file-backed
-            record log, punch filesystem holes over it (best effort,
-            Linux ``fallocate``) so the space is actually reclaimed.  Off
-            by default: recycling is then a metadata-only boundary and
-            the bytes remain until the log is compacted offline.
     """
 
     migrate_high_watermark: int = 8
     migrate_low_watermark: int = 2
     auto_migrate: bool = True
-    compression_level: int = 6
-    cache_chunks: int = 4
-    punch_holes: bool = False
 
     def __post_init__(self) -> None:
         if self.migrate_low_watermark < 0:
@@ -54,10 +41,6 @@ class TierConfig:
             raise ValueError(
                 "migrate_high_watermark must be >= migrate_low_watermark"
             )
-        if not 0 <= self.compression_level <= 9:
-            raise ValueError("compression_level must be in [0, 9]")
-        if self.cache_chunks < 1:
-            raise ValueError("cache_chunks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,15 +89,14 @@ class LoomConfig:
             publication step (``sync`` always forces it).
         threaded_flush: flush full blocks on a background thread (the
             paper's behaviour) instead of inline.
-        data_dir: directory for the three log files, or ``None`` to keep
-            all logs in memory (tests, benchmarks).
+        data_dir: directory for the three log files and their sidecar
+            frame journals (``<log>.crc``, one checksum per flushed
+            extent), or ``None`` to keep all logs in memory (tests,
+            benchmarks).
         inline_read_size: speculative read size for single-record decodes
             (record header plus a typical payload).  Deployments with
             larger records can raise this so point reads stay one log
             read; must cover at least the 28-byte record header.
-        checksum_frames: maintain a sidecar frame journal (``<log>.crc``)
-            per persisted log, checksumming every flushed extent so
-            recovery can detect bulk bit-rot without decoding records.
         verify_on_read: CRC-check every record as it is decoded from the
             persisted log (reads of corrupt records raise
             :class:`~repro.core.errors.CorruptionError`).  Off by default —
@@ -129,12 +111,6 @@ class LoomConfig:
             fallback counters — see :mod:`repro.core.metrics`).  On by
             default; the observability overhead benchmark uses the off
             mode as its uninstrumented baseline.
-        mmap_reads: serve bulk reads of the persisted record-log prefix
-            zero-copy through ``Storage.read_view`` (a read-only mmap on
-            file-backed logs, retained flush extents in memory).  Only the
-            sequential scan path uses views; point reads and the seqlock
-            in-memory path are unaffected.  Off disables the view tier so
-            every read goes through the copying ``read`` path.
     """
 
     chunk_size: int = 16 * 1024
@@ -146,24 +122,14 @@ class LoomConfig:
     threaded_flush: bool = False
     data_dir: Optional[str] = None
     inline_read_size: int = 256
-    checksum_frames: bool = True
     verify_on_read: bool = False
     flush_retries: int = 3
     flush_backoff: float = 0.001
     metrics_enabled: bool = True
-    mmap_reads: bool = True
     tier: Optional[TierConfig] = None
     retention: Optional[RetentionPolicy] = None
-    # Deprecated flat knobs, folded into ``tier``/``retention`` by
-    # ``__post_init__`` (kept one release as DeprecationWarning shims,
-    # same migration pattern as the QueryResult out-params).
-    archive_enabled: Optional[bool] = None
-    retention_horizon_ns: Optional[int] = None
-    retention_downsample: Optional[int] = None
-    migrate_watermark: Optional[int] = None
 
     def __post_init__(self) -> None:
-        self._fold_deprecated_tier_kwargs()
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if self.publish_interval < 1:
@@ -181,52 +147,6 @@ class LoomConfig:
             raise ValueError("flush_backoff must be >= 0")
         if self.retention is not None and self.tier is None:
             raise ValueError("retention requires a tier (archive) config")
-
-    def _fold_deprecated_tier_kwargs(self) -> None:
-        """Map the old flat archive/retention kwargs onto the typed
-        ``TierConfig``/``RetentionPolicy`` objects (deprecation shims)."""
-        tier = self.tier
-        retention = self.retention
-        if self.archive_enabled is not None or self.migrate_watermark is not None:
-            warnings.warn(
-                "LoomConfig(archive_enabled=..., migrate_watermark=...) is "
-                "deprecated; pass tier=TierConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if tier is None and (self.archive_enabled or self.migrate_watermark):
-                high = self.migrate_watermark or TierConfig.migrate_high_watermark
-                tier = TierConfig(
-                    migrate_high_watermark=high,
-                    migrate_low_watermark=min(
-                        TierConfig.migrate_low_watermark, high
-                    ),
-                )
-        if (
-            self.retention_horizon_ns is not None
-            or self.retention_downsample is not None
-        ):
-            warnings.warn(
-                "LoomConfig(retention_horizon_ns=..., retention_downsample=...)"
-                " is deprecated; pass retention=RetentionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if retention is None and self.retention_horizon_ns is not None:
-                if self.retention_downsample:
-                    retention = RetentionPolicy(
-                        horizon_ns=self.retention_horizon_ns,
-                        mode="downsample",
-                        keep_every=self.retention_downsample,
-                    )
-                else:
-                    retention = RetentionPolicy(
-                        horizon_ns=self.retention_horizon_ns
-                    )
-            if tier is None and retention is not None:
-                tier = TierConfig()
-        object.__setattr__(self, "tier", tier)
-        object.__setattr__(self, "retention", retention)
 
     def record_log_path(self) -> Optional[str]:
         return self._path("records.log")
@@ -253,9 +173,7 @@ class LoomConfig:
         return self._journal_path(self.timestamp_index_path())
 
     def _journal_path(self, log_path: Optional[str]) -> Optional[str]:
-        if log_path is None or not self.checksum_frames:
-            return None
-        return log_path + ".crc"
+        return None if log_path is None else log_path + ".crc"
 
     def _path(self, name: str) -> Optional[str]:
         if self.data_dir is None:

@@ -14,9 +14,9 @@ Figure 9:
 ``push(source_id, bytes)``                                      ingest
 ``push_many(source_id, payloads)``                              ingest
 ``sync(source_id)``                                             ingest
-``raw_scan(source_id, t_range, func)``                          query
-``indexed_scan(source_id, index_id, t_range, v_range, func)``   query
-``indexed_aggregate(source_id, index_id, t_range, method)``     query
+``scan(source_id, t_range, func)``                              query
+``scan_indexed(source_id, index_id, t_range, v_range, func)``   query
+``aggregate(source_id, index_id, t_range, method)``             query
 ==============================================================  =========
 
 Queries linearize at snapshot creation (section 4.5); each query method
@@ -26,12 +26,10 @@ sequence can pin a single consistent view across several operator calls.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import TracebackType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
-from . import viewguard
 from .archive import MigrationReport, RetentionReport
 from .clock import Clock, MonotonicClock
 from .config import LoomConfig
@@ -40,13 +38,13 @@ from .histogram import HistogramSpec, IndexDefinition, IndexFunc
 from .hybridlog import Health
 from .metrics import Counter, MetricsRegistry, RegistrySnapshot
 from .operators import (
-    AggregateResult,
     NEG_INF,
     POS_INF,
     QueryResult,
     QueryStats,
     QueryTrace,
     bin_histogram,
+    bin_values,
     indexed_aggregate,
     indexed_scan,
     raw_scan,
@@ -260,9 +258,9 @@ class Loom:
         """Scan a source in a time and value range using an index.
 
         Surviving chunks are scanned columnar: header columns are decoded
-        in bulk (zero-copy from persisted storage when ``mmap_reads`` is
-        on) and the source/time predicates run as one vectorized mask, so
-        per-record Python work happens only for matching records.
+        in bulk (zero-copy from persisted storage) and the source/time
+        predicates run as one vectorized mask, so per-record Python work
+        happens only for matching records.
         """
         snap = snapshot or self.snapshot()
         index = self._check_index(source_id, index_id)
@@ -301,19 +299,10 @@ class Loom:
         """
         snap = snapshot or self.snapshot()
         index = self._check_index(source_id, index_id)
-        stats = QueryStats()
-        qtrace = QueryTrace() if trace else None
         self._note_query("aggregate")
-        agg = indexed_aggregate(
+        return indexed_aggregate(
             snap, source_id, index, t_range[0], t_range[1], method,
-            percentile=percentile, stats=stats, trace=qtrace,
-        )
-        return QueryResult(
-            stats=agg.stats,
-            value=agg.value,
-            count=agg.count,
-            trace=qtrace,
-            source=str(source_id),
+            percentile=percentile, trace=QueryTrace() if trace else None,
         )
 
     def histogram(
@@ -366,19 +355,11 @@ class Loom:
         """
         snap = snapshot or self.snapshot()
         index = self._check_index(source_id, index_id)
-        spec = index.spec
-        lo, hi = spec.bin_range(bin_idx)
         stats = QueryStats()
         self._note_query("bin_values")
-        values: List[float] = []
-        for record in indexed_scan(
-            snap, source_id, index, t_range[0], t_range[1],
-            v_min=lo, v_max=hi, stats=stats, copy=False,
-        ):
-            value = index.index_func(viewguard.unwrap(record.payload))
-            if spec.bin_of(value) == bin_idx:
-                values.append(value)
-        values.sort()
+        values = bin_values(
+            snap, source_id, index, t_range[0], t_range[1], bin_idx, stats=stats
+        )
         return QueryResult(
             stats=stats,
             values=values,
@@ -391,91 +372,6 @@ class Loom:
         tooling can verify layout agreement without reaching into the
         record log)."""
         return self._check_index(source_id, index_id).spec
-
-    # ------------------------------------------------------------------
-    # Deprecated query shims (pre-QueryResult signatures)
-    # ------------------------------------------------------------------
-    def raw_scan(
-        self,
-        source_id: int,
-        t_range: TimeRange,
-        func: Optional[RecordFunc] = None,
-        snapshot: Optional[Snapshot] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> Optional[List[Record]]:
-        """Deprecated: use :meth:`scan`, which returns a
-        :class:`~repro.core.operators.QueryResult`.
-
-        Behaviour is unchanged — the record list (or ``None`` under the
-        streaming ``func`` form), with work counters merged into a
-        caller-supplied ``stats``.
-        """
-        warnings.warn(
-            "Loom.raw_scan() is deprecated; use Loom.scan(), which returns "
-            "a QueryResult carrying the records and the QueryStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.scan(source_id, t_range, func=func, snapshot=snapshot)
-        if stats is not None:
-            stats.merge(result.stats)
-        return result.records
-
-    def indexed_scan(
-        self,
-        source_id: int,
-        index_id: int,
-        t_range: TimeRange,
-        v_range: ValueRange = (NEG_INF, POS_INF),
-        func: Optional[RecordFunc] = None,
-        snapshot: Optional[Snapshot] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> Optional[List[Record]]:
-        """Deprecated: use :meth:`scan_indexed` (returns a QueryResult)."""
-        warnings.warn(
-            "Loom.indexed_scan() is deprecated; use Loom.scan_indexed(), "
-            "which returns a QueryResult carrying the records and the "
-            "QueryStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.scan_indexed(
-            source_id, index_id, t_range, v_range, func=func, snapshot=snapshot
-        )
-        if stats is not None:
-            stats.merge(result.stats)
-        return result.records
-
-    def indexed_aggregate(
-        self,
-        source_id: int,
-        index_id: int,
-        t_range: TimeRange,
-        method: str,
-        percentile: Optional[float] = None,
-        snapshot: Optional[Snapshot] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> AggregateResult:
-        """Deprecated: use :meth:`aggregate` (returns a QueryResult)."""
-        warnings.warn(
-            "Loom.indexed_aggregate() is deprecated; use Loom.aggregate(), "
-            "which returns a QueryResult carrying the value and the "
-            "QueryStats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.aggregate(
-            source_id, index_id, t_range, method,
-            percentile=percentile, snapshot=snapshot,
-        )
-        if stats is not None:
-            stats.merge(result.stats)
-            return AggregateResult(
-                value=result.value, count=result.count, stats=stats
-            )
-        return AggregateResult(
-            value=result.value, count=result.count, stats=result.stats
-        )
 
     def _check_index(self, source_id: int, index_id: int) -> IndexDefinition:
         index = self._record_log.get_index(index_id)

@@ -34,7 +34,7 @@ import numpy as np
 from . import viewguard
 from .chunk_index import STATE_RETIRED
 from .errors import LoomError
-from .histogram import IndexDefinition
+from .histogram import HistogramSpec, IndexDefinition
 from .record import HEADER_SIZE, Record
 from .snapshot import Snapshot
 from .summary import BinStats, ChunkSummary
@@ -80,9 +80,7 @@ class QueryStats:
         """Fold another query's counters into this one.
 
         Used by callers that accumulate work across several operator
-        calls (one logical query, many aggregates) and by the deprecated
-        ``stats=`` shims, which run the operator against a fresh
-        :class:`QueryStats` and merge it into the caller's.
+        calls (one logical query, many aggregates or many nodes).
         """
         self.records_scanned += other.records_scanned
         self.records_matched += other.records_matched
@@ -149,8 +147,7 @@ class QueryResult:
     Scans fill :attr:`records` (``None`` when driven by a streaming
     ``func``); aggregates fill :attr:`value`.  :attr:`count` is the
     number of matched records either way.  :attr:`stats` always carries
-    the work counters that used to be threaded through ``stats=``
-    out-params, and :attr:`trace` the optional stage trace.
+    the work counters, and :attr:`trace` the optional stage trace.
     :attr:`source` is a display label for the queried source — the
     daemon resolves it to the source *name*; the core falls back to the
     numeric id.
@@ -197,6 +194,8 @@ def raw_scan(
     ``trace``, when given, receives stage events once the scan is driven
     to completion (an abandoned iterator leaves a partial trace).
     """
+    if stats is None:
+        stats = QueryStats()
     if t_end < t_start:
         return
     start_hint: Optional[int] = None
@@ -204,8 +203,7 @@ def raw_scan(
         hit = snapshot.first_record_after(source_id, t_end)
         if hit is not None:
             start_hint = hit[1]
-        if stats is not None:
-            stats.used_time_index = True
+        stats.used_time_index = True
         if trace is not None:
             trace.add(
                 "seek",
@@ -217,15 +215,13 @@ def raw_scan(
     matched = 0
     for record in snapshot.iter_chain(source_id, start=start_hint, stats=stats):
         walked += 1
-        if stats is not None:
-            stats.records_scanned += 1
+        stats.records_scanned += 1
         if record.timestamp > t_end:
             continue
         if record.timestamp < t_start:
             break
         matched += 1
-        if stats is not None:
-            stats.records_matched += 1
+        stats.records_matched += 1
         yield record
     if trace is not None:
         trace.add("chain-walk", f"matched {matched}", count=walked)
@@ -263,44 +259,39 @@ def indexed_scan(  # loomflow: borrows=scan
     ``trace``, when given, receives stage events once the scan is driven
     to completion.
     """
+    if stats is None:
+        stats = QueryStats()
     if t_end < t_start:
         return
-    spec = index.spec
-    relevant_bins = set(spec.bins_overlapping(v_min, v_max))
+    relevant_bins = set(index.spec.bins_overlapping(v_min, v_max))
 
     examined = 0
     skipped = 0
     scanned = 0
     for summary in _candidate_summaries(snapshot, t_start, t_end, use_time_index, stats):
         examined += 1
-        if stats is not None:
-            stats.summaries_examined += 1
+        stats.summaries_examined += 1
         info = summary.source_info(source_id)
         if info is None or info.t_min > t_end or info.t_max < t_start:
             skipped += 1
-            if stats is not None:
-                stats.chunks_skipped += 1
+            stats.chunks_skipped += 1
             continue
         if use_chunk_index:
-            if stats is not None:
-                stats.used_chunk_index = True
+            stats.used_chunk_index = True
             bins = summary.bins_for(source_id, index.index_id)
             if not any(b in relevant_bins and bins[b].count > 0 for b in bins):
                 skipped += 1
-                if stats is not None:
-                    stats.chunks_skipped += 1
+                stats.chunks_skipped += 1
                 continue
         if not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
             # Summary-only chunk: its raw bytes were dropped by retention,
             # so matching records cannot be materialized.
             skipped += 1
-            if stats is not None:
-                stats.chunks_skipped += 1
-                stats.degraded = True
+            stats.chunks_skipped += 1
+            stats.degraded = True
             continue
         scanned += 1
-        if stats is not None:
-            stats.chunks_scanned += 1
+        stats.chunks_scanned += 1
         yield from _scan_region(
             snapshot, summary.start_addr, summary.end_addr,
             source_id, index, t_start, t_end, v_min, v_max, stats, copy=copy,
@@ -327,7 +318,7 @@ def _candidate_summaries(
     t_start: int,
     t_end: int,
     use_time_index: bool,
-    stats: Optional[QueryStats],
+    stats: QueryStats,
 ) -> Iterator[ChunkSummary]:
     """Summaries overlapping the time range, in chunk order.
 
@@ -337,16 +328,14 @@ def _candidate_summaries(
     which is the growth Figure 16 shows for the chunk-index-only ablation.
     """
     if use_time_index:
-        if stats is not None:
-            stats.used_time_index = True
+        stats.used_time_index = True
         yield from snapshot.summaries_in_time_range(t_start, t_end)
         return
     collected: List[ChunkSummary] = []
     chunk_index = snapshot.record_log.chunk_index
     for i in range(snapshot.n_chunks - 1, -1, -1):
         summary = chunk_index.get(i)
-        if stats is not None:
-            stats.summaries_examined += 1
+        stats.summaries_examined += 1
         if chunk_index.state_at(i) == STATE_RETIRED:
             continue
         if summary.t_min > t_end:
@@ -367,7 +356,7 @@ def _scan_region(
     t_end: int,
     v_min: float,
     v_max: float,
-    stats: Optional[QueryStats],
+    stats: QueryStats,
     copy: bool = True,
 ) -> Iterator[Record]:
     """Scan ``[start, end)`` filtering by source, time, and value.
@@ -375,8 +364,7 @@ def _scan_region(
     The source and time predicates are evaluated as one vectorized mask
     over the region's header columns; Python-level work (payload slicing,
     the index UDF, ``Record`` construction) happens only for the records
-    that survive.  When the record log cannot serve columns (e.g.
-    ``verify_on_read``) the scan falls back to the per-record loop.
+    that survive.  ``index=None`` skips the value predicate.
 
     ``copy=False`` is the zero-copy mode for consumers that never retain
     payloads past the iteration step (the aggregate operators): records
@@ -384,14 +372,8 @@ def _scan_region(
     """
     columns = snapshot.region_columns(start, end, stats=stats)
     if columns is None:
-        yield from _scan_region_scalar(
-            snapshot, start, end, source_id, index,
-            t_start, t_end, v_min, v_max, stats, copy=copy,
-        )
         return
-    n = len(columns)
-    if stats is not None:
-        stats.records_scanned += n
+    stats.records_scanned += len(columns)
     if t_end < t_start or t_end < 0 or t_start > _U64_MAX:
         return
     # Clamp the time bounds into u64 so the comparison stays exact (mixed
@@ -420,8 +402,7 @@ def _scan_region(
             value = func(viewguard.unwrap(payload))
             if value < v_min or value > v_max:
                 continue
-        if stats is not None:
-            stats.records_matched += 1
+        stats.records_matched += 1
         yield Record(
             source_id=source_id,
             timestamp=int(timestamps[i]),
@@ -431,46 +412,187 @@ def _scan_region(
         )
 
 
-def _scan_region_scalar(
+# ----------------------------------------------------------------------
+# indexed aggregate
+# ----------------------------------------------------------------------
+class _StatsFold:
+    """Distributive fold: one merged :class:`BinStats` over the range."""
+
+    def __init__(self) -> None:
+        self.total = BinStats()
+
+    def bins(self, bins: Dict[int, BinStats]) -> None:
+        for bin_stats in bins.values():
+            self.total.merge(bin_stats)
+
+    def value(self, value: float, timestamp: int) -> None:
+        self.total.update(value, timestamp)
+
+
+class _CountFold:
+    """Histogram fold: per-bin record counts."""
+
+    def __init__(self, spec: HistogramSpec) -> None:
+        self.spec = spec
+        self.counts: Dict[int, int] = {}
+
+    def bins(self, bins: Dict[int, BinStats]) -> None:
+        counts = self.counts
+        for bin_idx, bin_stats in bins.items():
+            counts[bin_idx] = counts.get(bin_idx, 0) + bin_stats.count
+
+    def value(self, value: float, timestamp: int) -> None:
+        b = self.spec.bin_of(value)
+        self.counts[b] = self.counts.get(b, 0) + 1
+
+
+class _RetainFold(_CountFold):
+    """Percentile fold: bin counts, with every scanned value retained per
+    bin so collecting the target bin never re-reads a scanned region."""
+
+    def __init__(self, spec: HistogramSpec) -> None:
+        super().__init__(spec)
+        self.retained: Dict[int, List[float]] = {}
+
+    def value(self, value: float, timestamp: int) -> None:
+        b = self.spec.bin_of(value)
+        self.counts[b] = self.counts.get(b, 0) + 1
+        self.retained.setdefault(b, []).append(value)
+
+
+def _scan_values(
     snapshot: Snapshot,
     start: int,
     end: int,
     source_id: int,
-    index: Optional[IndexDefinition],
+    index: IndexDefinition,
     t_start: int,
     t_end: int,
-    v_min: float,
-    v_max: float,
-    stats: Optional[QueryStats],
-    copy: bool = True,
-) -> Iterator[Record]:
-    """Per-record fallback for :func:`_scan_region` (same contract)."""
-    for record in snapshot.iter_region(start, end, copy=copy, stats=stats):
-        if stats is not None:
-            stats.records_scanned += 1
-        if record.source_id != source_id:
+    stats: QueryStats,
+) -> Iterator[Tuple[float, int]]:
+    """``(indexed value, timestamp)`` of each of the source's records in
+    ``[start, end)`` that falls inside the time range."""
+    func = index.index_func
+    for record in _scan_region(
+        snapshot, start, end, source_id, None,
+        t_start, t_end, NEG_INF, POS_INF, stats, copy=False,
+    ):
+        yield func(viewguard.unwrap(record.payload)), record.timestamp
+
+
+def _fold_range(
+    snapshot: Snapshot,
+    source_id: int,
+    index: IndexDefinition,
+    t_start: int,
+    t_end: int,
+    use_time_index: bool,
+    use_chunk_index: bool,
+    stats: QueryStats,
+    trace: Optional[QueryTrace],
+    fold: "_StatsFold | _CountFold",
+) -> List[ChunkSummary]:
+    """The summary walk every aggregate shares.
+
+    Chunks whose records of the source lie fully inside the time range
+    hand their bin statistics to ``fold.bins`` without being read; chunks
+    straddling a range edge and the unsummarized active region are
+    scanned, one ``fold.value`` per matching record.  Returns the
+    summaries answered from bins (the candidates of a target-bin scan).
+    """
+    full_summaries: List[ChunkSummary] = []
+    regions: List[Tuple[int, int]] = []
+    for summary, full in _classified_summaries(
+        snapshot, source_id, t_start, t_end, use_time_index, stats
+    ):
+        if full and use_chunk_index:
+            stats.used_chunk_index = True
+            stats.summaries_aggregated += 1
+            full_summaries.append(summary)
+            fold.bins(summary.bins_for(source_id, index.index_id))
+        elif not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
+            # A summary-only chunk straddling the range edge cannot be
+            # scanned for the exact in-range subset; its contribution is
+            # omitted and the result flagged as degraded.
+            stats.chunks_skipped += 1
+            stats.degraded = True
+        else:
+            stats.chunks_scanned += 1
+            regions.append((summary.start_addr, summary.end_addr))
+    scanned = len(regions)
+    active_start, active_end = snapshot.active_region()
+    regions.append((active_start, active_end))
+    for start, end in regions:
+        for value, timestamp in _scan_values(
+            snapshot, start, end, source_id, index, t_start, t_end, stats
+        ):
+            fold.value(value, timestamp)
+    if trace is not None:
+        aggregated = len(full_summaries)
+        trace.add(
+            "summary-prune",
+            f"aggregated from bins: {aggregated}",
+            count=aggregated + scanned,
+        )
+        trace.add("chunk-scan", "straddling chunks", count=scanned)
+        trace.add(
+            "active-scan",
+            f"bytes {active_end - active_start}",
+            count=1 if active_end > active_start else 0,
+        )
+    return full_summaries
+
+
+def _collect_bin(
+    snapshot: Snapshot,
+    source_id: int,
+    index: IndexDefinition,
+    t_start: int,
+    t_end: int,
+    target_bin: int,
+    fold: _RetainFold,
+    full_summaries: List[ChunkSummary],
+    stats: QueryStats,
+    trace: Optional[QueryTrace],
+) -> List[float]:
+    """Exact values of one bin, ascending: what :func:`_fold_range`
+    retained while scanning, plus a scan of each fully-covered chunk that
+    has records in the bin."""
+    spec = index.spec
+    values = list(fold.retained.get(target_bin, ()))
+    bin_scans = 0
+    for summary in full_summaries:
+        bin_stats = summary.bins_for(source_id, index.index_id).get(target_bin)
+        if bin_stats is None or bin_stats.count == 0:
+            stats.chunks_skipped += 1
             continue
-        if record.timestamp < t_start or record.timestamp > t_end:
+        if not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
+            # Summary-only chunk: its target-bin values cannot be
+            # materialized.  Stand in the bin's recorded mean for each of
+            # them — count stays exact, the value stays inside the bin,
+            # and the result is flagged approximate (degraded).
+            stats.degraded = True
+            stats.chunks_skipped += 1
+            values.extend([bin_stats.sum / bin_stats.count] * bin_stats.count)
             continue
-        if index is not None:
-            value = index.index_func(viewguard.unwrap(record.payload))
-            if value < v_min or value > v_max:
-                continue
-        if stats is not None:
-            stats.records_matched += 1
-        yield record
-
-
-# ----------------------------------------------------------------------
-# indexed aggregate
-# ----------------------------------------------------------------------
-@dataclass
-class AggregateResult:
-    """Result of :func:`indexed_aggregate` plus its work counters."""
-
-    value: Optional[float]
-    count: int
-    stats: QueryStats = field(default_factory=QueryStats)
+        bin_scans += 1
+        stats.chunks_scanned += 1
+        values.extend(
+            value
+            for value, _ in _scan_values(
+                snapshot, summary.start_addr, summary.end_addr,
+                source_id, index, t_start, t_end, stats,
+            )
+            if spec.bin_of(value) == target_bin
+        )
+    if trace is not None:
+        trace.add(
+            "bin-scan",
+            f"{len(values)} values collected in target bin",
+            count=bin_scans,
+        )
+    values.sort()
+    return values
 
 
 def indexed_aggregate(
@@ -485,7 +607,7 @@ def indexed_aggregate(
     use_chunk_index: bool = True,
     stats: Optional[QueryStats] = None,
     trace: Optional[QueryTrace] = None,
-) -> AggregateResult:
+) -> QueryResult:
     """Aggregate a source's indexed values over a time range.
 
     ``method`` is one of ``count``, ``sum``, ``min``, ``max``, ``mean``, or
@@ -495,175 +617,56 @@ def indexed_aggregate(
     bin-counts-as-CDF strategy of section 4.3 and are *exact*: the returned
     value is the same order statistic a full sort would produce.
 
-    A caller-supplied ``stats`` accumulates across calls (useful when one
-    logical query issues several aggregates); otherwise a fresh
-    :class:`QueryStats` is created and returned on the result.  ``trace``
-    receives stage events (summary pruning, CDF resolution, bin scans).
+    The aggregate lands on ``result.value`` and the number of records it
+    covers on ``result.count``.  A caller-supplied ``stats`` accumulates
+    across calls (useful when one logical query issues several
+    aggregates); otherwise a fresh :class:`QueryStats` is created.  Either
+    way it is the ``result.stats``.  ``trace`` receives stage events
+    (summary pruning, CDF resolution, bin scans).
     """
     if stats is None:
         stats = QueryStats()
+    fold: "_StatsFold | _RetainFold"
     if method == "percentile":
         if percentile is None or not 0 <= percentile <= 100:
             raise LoomError("percentile method needs percentile in [0, 100]")
-        return _aggregate_percentile(
-            snapshot, source_id, index, t_start, t_end, percentile,
-            use_time_index, use_chunk_index, stats, trace,
-        )
-    if method not in DISTRIBUTIVE_METHODS:
+        fold = _RetainFold(index.spec)
+    elif method in DISTRIBUTIVE_METHODS:
+        fold = _StatsFold()
+    else:
         raise LoomError(f"unknown aggregation method: {method!r}")
-    return _aggregate_distributive(
-        snapshot, source_id, index, t_start, t_end, method,
-        use_time_index, use_chunk_index, stats, trace,
+    full_summaries = _fold_range(
+        snapshot, source_id, index, t_start, t_end,
+        use_time_index, use_chunk_index, stats, trace, fold,
     )
+    result = QueryResult(stats=stats, trace=trace, source=str(source_id))
+    if isinstance(fold, _StatsFold):
+        total = fold.total
+        result.count = total.count
+        if total.count:
+            result.value = {
+                "count": float(total.count),
+                "sum": total.sum,
+                "min": total.min,
+                "max": total.max,
+                "mean": total.sum / total.count,
+            }[method]
+        return result
 
-
-def _aggregate_distributive(
-    snapshot: Snapshot,
-    source_id: int,
-    index: IndexDefinition,
-    t_start: int,
-    t_end: int,
-    method: str,
-    use_time_index: bool,
-    use_chunk_index: bool,
-    stats: QueryStats,
-    trace: Optional[QueryTrace] = None,
-) -> AggregateResult:
-    total = BinStats()
-    aggregated = 0
-    scanned = 0
-    for summary, full in _classified_summaries(
-        snapshot, source_id, t_start, t_end, use_time_index, stats
-    ):
-        if full and use_chunk_index:
-            aggregated += 1
-            stats.used_chunk_index = True
-            stats.summaries_aggregated += 1
-            for bin_stats in summary.bins_for(source_id, index.index_id).values():
-                total.merge(bin_stats)
-        elif not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
-            # A summary-only chunk straddling the range edge cannot be
-            # scanned for the exact in-range subset; its contribution is
-            # omitted and the result flagged as degraded.
-            stats.chunks_skipped += 1
-            stats.degraded = True
-        else:
-            scanned += 1
-            stats.chunks_scanned += 1
-            for record in _scan_region(
-                snapshot, summary.start_addr, summary.end_addr,
-                source_id, index, t_start, t_end, NEG_INF, POS_INF, stats,
-                copy=False,
-            ):
-                total.update(index.index_func(viewguard.unwrap(record.payload)), record.timestamp)
-    if trace is not None:
-        trace.add("summary-prune", f"aggregated from bins: {aggregated}", count=aggregated + scanned)
-        trace.add("chunk-scan", "straddling chunks", count=scanned)
-    active_start, active_end = snapshot.active_region()
-    for record in _scan_region(
-        snapshot, active_start, active_end,
-        source_id, index, t_start, t_end, NEG_INF, POS_INF, stats,
-        copy=False,
-    ):
-        total.update(index.index_func(viewguard.unwrap(record.payload)), record.timestamp)
-    if trace is not None:
-        trace.add(
-            "active-scan",
-            f"bytes {active_end - active_start}",
-            count=1 if active_end > active_start else 0,
-        )
-
-    if total.count == 0:
-        return AggregateResult(value=None, count=0, stats=stats)
-    if method == "count":
-        value: float = float(total.count)
-    elif method == "sum":
-        value = total.sum
-    elif method == "min":
-        value = total.min
-    elif method == "max":
-        value = total.max
-    else:  # mean
-        value = total.sum / total.count
-    return AggregateResult(value=value, count=total.count, stats=stats)
-
-
-def _aggregate_percentile(
-    snapshot: Snapshot,
-    source_id: int,
-    index: IndexDefinition,
-    t_start: int,
-    t_end: int,
-    percentile: float,
-    use_time_index: bool,
-    use_chunk_index: bool,
-    stats: QueryStats,
-    trace: Optional[QueryTrace] = None,
-) -> AggregateResult:
-    """Exact percentile via the CDF-over-bins strategy (section 4.3).
-
-    Pass 1 establishes per-bin counts: bin statistics for chunks fully
-    inside the time range, record scans for straddling chunks and the
-    active region (scanned values are retained per bin so they need not be
-    re-read).  Pass 2 locates the target bin from the cumulative counts and
-    scans only the fully-covered chunks that have records in that bin.
-    """
-    spec = index.spec
-    bin_counts: Dict[int, int] = {}
-    scanned_bin_values: Dict[int, List[float]] = {}
-    full_summaries: List[ChunkSummary] = []
-
-    for summary, full in _classified_summaries(
-        snapshot, source_id, t_start, t_end, use_time_index, stats
-    ):
-        if full and use_chunk_index:
-            stats.used_chunk_index = True
-            stats.summaries_aggregated += 1
-            full_summaries.append(summary)
-            for bin_idx, bin_stats in summary.bins_for(source_id, index.index_id).items():
-                bin_counts[bin_idx] = bin_counts.get(bin_idx, 0) + bin_stats.count
-        elif not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
-            stats.chunks_skipped += 1
-            stats.degraded = True
-        else:
-            stats.chunks_scanned += 1
-            for record in _scan_region(
-                snapshot, summary.start_addr, summary.end_addr,
-                source_id, index, t_start, t_end, NEG_INF, POS_INF, stats,
-                copy=False,
-            ):
-                value = index.index_func(viewguard.unwrap(record.payload))
-                b = spec.bin_of(value)
-                bin_counts[b] = bin_counts.get(b, 0) + 1
-                scanned_bin_values.setdefault(b, []).append(value)
-    active_start, active_end = snapshot.active_region()
-    for record in _scan_region(
-        snapshot, active_start, active_end,
-        source_id, index, t_start, t_end, NEG_INF, POS_INF, stats,
-        copy=False,
-    ):
-        value = index.index_func(viewguard.unwrap(record.payload))
-        b = spec.bin_of(value)
-        bin_counts[b] = bin_counts.get(b, 0) + 1
-        scanned_bin_values.setdefault(b, []).append(value)
-    if trace is not None:
-        trace.add(
-            "summary-prune",
-            f"aggregated from bins: {len(full_summaries)}",
-            count=len(full_summaries),
-        )
-
+    # Exact percentile via the CDF-over-bins strategy (section 4.3): the
+    # walk established per-bin counts; locate the target bin from the
+    # cumulative counts, then read only chunks with records in that bin.
+    assert percentile is not None
+    bin_counts = fold.counts
     total_count = sum(bin_counts.values())
     if total_count == 0:
         if trace is not None:
             trace.add("cdf", "empty range", count=0)
-        return AggregateResult(value=None, count=0, stats=stats)
-
+        return result
     # Rank of the percentile using the nearest-rank (inverted CDF)
     # definition: the smallest value with CDF >= p. numpy's
     # method="inverted_cdf" matches this, which the tests rely on.
     rank = max(1, math.ceil(percentile / 100.0 * total_count))
-
     cumulative = 0
     target_bin = None
     for bin_idx in sorted(bin_counts):
@@ -680,48 +683,15 @@ def _aggregate_percentile(
             f"rank {rank}/{total_count} falls in bin {target_bin}",
             count=len(bin_counts),
         )
-
-    # Collect the exact values in the target bin: retained scan values plus
-    # a scan of each fully-covered chunk with records in that bin.
-    values = list(scanned_bin_values.get(target_bin, ()))
-    bin_scans = 0
-    for summary in full_summaries:
-        bins = summary.bins_for(source_id, index.index_id)
-        bin_stats = bins.get(target_bin)
-        if bin_stats is None or bin_stats.count == 0:
-            if stats is not None:
-                stats.chunks_skipped += 1
-            continue
-        if not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
-            # Summary-only chunk: its target-bin values cannot be
-            # materialized.  Stand in the bin's recorded mean for each of
-            # them — count stays exact, the value stays inside the bin,
-            # and the result is flagged approximate (degraded).
-            stats.degraded = True
-            stats.chunks_skipped += 1
-            values.extend([bin_stats.sum / bin_stats.count] * bin_stats.count)
-            continue
-        bin_scans += 1
-        stats.chunks_scanned += 1
-        for record in _scan_region(
-            snapshot, summary.start_addr, summary.end_addr,
-            source_id, index, t_start, t_end, NEG_INF, POS_INF, stats,
-            copy=False,
-        ):
-            value = index.index_func(viewguard.unwrap(record.payload))
-            if spec.bin_of(value) == target_bin:
-                values.append(value)
-    if trace is not None:
-        trace.add(
-            "bin-scan",
-            f"{len(values)} values collected in target bin",
-            count=bin_scans,
-        )
-
-    values.sort()
+    values = _collect_bin(
+        snapshot, source_id, index, t_start, t_end, target_bin,
+        fold, full_summaries, stats, trace,
+    )
     k = rank - cumulative  # 1-based order statistic within the target bin
     assert 1 <= k <= len(values), (k, len(values), rank, cumulative)
-    return AggregateResult(value=values[k - 1], count=total_count, stats=stats)
+    result.value = values[k - 1]
+    result.count = total_count
+    return result
 
 
 def bin_histogram(
@@ -744,31 +714,42 @@ def bin_histogram(
     """
     if stats is None:
         stats = QueryStats()
-    spec = index.spec
-    counts: Dict[int, int] = {}
+    fold = _CountFold(index.spec)
+    _fold_range(
+        snapshot, source_id, index, t_start, t_end,
+        use_time_index, use_chunk_index, stats, None, fold,
+    )
+    return fold.counts
 
-    def scan_into(start: int, end: int) -> None:
-        for record in _scan_region(
-            snapshot, start, end, source_id, index,
-            t_start, t_end, NEG_INF, POS_INF, stats, copy=False,
-        ):
-            b = spec.bin_of(index.index_func(viewguard.unwrap(record.payload)))
-            counts[b] = counts.get(b, 0) + 1
 
-    for summary, full in _classified_summaries(
-        snapshot, source_id, t_start, t_end, use_time_index, stats
-    ):
-        if full and use_chunk_index:
-            for bin_idx, bin_stats in summary.bins_for(source_id, index.index_id).items():
-                counts[bin_idx] = counts.get(bin_idx, 0) + bin_stats.count
-        elif not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
-            stats.chunks_skipped += 1
-            stats.degraded = True
-        else:
-            scan_into(summary.start_addr, summary.end_addr)
-    active_start, active_end = snapshot.active_region()
-    scan_into(active_start, active_end)
-    return counts
+def bin_values(
+    snapshot: Snapshot,
+    source_id: int,
+    index: IndexDefinition,
+    t_start: int,
+    t_end: int,
+    bin_idx: int,
+    stats: Optional[QueryStats] = None,
+) -> List[float]:
+    """Exact index values of one histogram bin over a time range, ascending.
+
+    This is pass 2 of the percentile algorithm exposed on its own: after
+    merged :func:`bin_histogram` counts locate the bin holding a global
+    rank, the coordinator fetches only that bin's values from each node.
+    Bin membership is exact (half-open ``[lo, hi)`` per the spec), so a
+    value equal to the bin's upper edge belongs to the next bin.
+    """
+    if stats is None:
+        stats = QueryStats()
+    index.spec.bin_range(bin_idx)  # rejects an out-of-range bin
+    fold = _RetainFold(index.spec)
+    full_summaries = _fold_range(
+        snapshot, source_id, index, t_start, t_end, True, True, stats, None, fold,
+    )
+    return _collect_bin(
+        snapshot, source_id, index, t_start, t_end, bin_idx,
+        fold, full_summaries, stats, None,
+    )
 
 
 def _classified_summaries(

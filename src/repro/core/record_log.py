@@ -62,7 +62,7 @@ from .record import (
     record_crc,
     verify_record_bytes,
 )
-from .storage import FileStorage, Storage, open_storage
+from .storage import Storage, open_storage
 from .summary import ChunkSummary
 from .timestamp_index import KIND_CHUNK, TimestampIndex
 
@@ -159,16 +159,11 @@ class RecordLog:
                 return None
             return LogScope(self.metrics, log_name)
 
-        def _journal(path: Optional[str]) -> Optional[Storage]:
-            if not cfg.checksum_frames:
-                return None
-            return open_storage(path)
-
         self.log = HybridLog(
             storage=open_storage(cfg.record_log_path()),
             block_size=cfg.record_block_size,
             threaded_flush=cfg.threaded_flush,
-            frame_journal=_journal(cfg.record_log_journal_path()),
+            frame_journal=open_storage(cfg.record_log_journal_path()),
             flush_retries=cfg.flush_retries,
             flush_backoff=cfg.flush_backoff,
             scope=_scope("record"),
@@ -177,7 +172,7 @@ class RecordLog:
             storage=open_storage(cfg.chunk_index_path()),
             block_size=cfg.index_block_size,
             threaded_flush=cfg.threaded_flush,
-            frame_journal=_journal(cfg.chunk_index_journal_path()),
+            frame_journal=open_storage(cfg.chunk_index_journal_path()),
             flush_retries=cfg.flush_retries,
             flush_backoff=cfg.flush_backoff,
             scope=_scope("chunk_index"),
@@ -187,7 +182,7 @@ class RecordLog:
             block_size=cfg.timestamp_block_size,
             record_interval=cfg.timestamp_interval,
             threaded_flush=cfg.threaded_flush,
-            frame_journal=_journal(cfg.timestamp_index_journal_path()),
+            frame_journal=open_storage(cfg.timestamp_index_journal_path()),
             flush_retries=cfg.flush_retries,
             flush_backoff=cfg.flush_backoff,
             scope=_scope("timestamp_index"),
@@ -205,8 +200,6 @@ class RecordLog:
         self._inline_read = cfg.inline_read_size
         #: CRC-check records as they are decoded from the log.
         self._verify_on_read = cfg.verify_on_read
-        #: Serve bulk region reads zero-copy from persisted storage.
-        self._mmap_reads = cfg.mmap_reads
 
         # Ingest instruments, held as direct references so the hot path
         # never does a registry lookup.  All of these are written only
@@ -304,16 +297,12 @@ class RecordLog:
                 )
             self.archive = ArchiveLog.open(
                 open_storage(archive_path),
-                _journal(cfg.archive_journal_path()),
-                compression_level=tier.compression_level,
-                cache_chunks=tier.cache_chunks,
+                open_storage(cfg.archive_journal_path()),
                 decompress_counter=decompress_counter,
             )
             self._cold_boundary = self.archive.recycled_upto
             self._retention_floor = self.archive.retention_floor
             storage = self.log.storage
-            if isinstance(storage, FileStorage):
-                storage.punch_holes = tier.punch_holes
             if self._cold_boundary > 0:
                 # The archived prefix is cold-authoritative from the first
                 # read: arm the storage boundary so stale addresses below
@@ -928,13 +917,15 @@ class RecordLog:
         slice of the region buffer instead of an owned ``bytes`` copy.
         The buffer is immutable for the lifetime of the views, so this is
         safe — but callers that retain payloads beyond the scan (or hand
-        them to users) must take the default copying mode.  Aggregation
-        operators, which only feed payloads to index functions, use the
-        zero-copy mode.
+        them to users) must take the default copying mode.
 
-        When the region is fully persisted and ``mmap_reads`` is enabled,
-        the region buffer itself is a zero-copy storage view (no bulk
-        read copy at all); otherwise one log read fetches it.
+        This is the reference decoder: queries scan through
+        :meth:`region_columns`, and the sanitizer and the equivalence
+        tests hold its columns to the records yielded here.
+
+        When the region is fully persisted the region buffer itself is a
+        zero-copy storage view (no bulk read copy at all); otherwise one
+        log read fetches it.
         """
         if end <= start:
             return
@@ -984,15 +975,16 @@ class RecordLog:
         filtering scans: one bulk region fetch (zero-copy via the mmap
         tier when possible), then every header is gathered into parallel
         numpy vectors with two array operations.  Returns ``None`` when
-        the region is empty or when ``verify_on_read`` is enabled (CRC
-        verification is a per-record decode concern; callers fall back to
-        the scalar iterator, which verifies).
+        the region is empty.
 
         For the common case of fixed-size records the header offsets are
         one ``arange``; otherwise a Python walk over the length fields
         finds them (still far cheaper than full per-record decodes).
+        Under ``verify_on_read`` that walk also CRC-checks each record
+        before stepping past it, raising :class:`CorruptionError` naming
+        the first bad address.
         """
-        if end <= start or self._verify_on_read:
+        if end <= start:
             return None
         size = end - start
         buffer, _is_view = self._region_buffer(start, end, stats)
@@ -1001,10 +993,11 @@ class RecordLog:
         raw_buffer = viewguard.unwrap(buffer)
         raw = np.frombuffer(raw_buffer, np.uint8)
         unpack_len = _LEN_FIELD.unpack_from
+        verify = self._verify_on_read
         first_len = unpack_len(raw_buffer, 20)[0]
         stride = HEADER_SIZE + first_len
         offsets: Optional[np.ndarray] = None
-        if size % stride == 0:
+        if size % stride == 0 and not verify:
             # Fixed-size fast path, validated inductively: offset 0 is a
             # header; if its length is ``first_len`` the next header is at
             # ``stride``; requiring every candidate's length field to
@@ -1023,8 +1016,15 @@ class RecordLog:
             offs: List[int] = []
             pos = 0
             while pos < size:
+                length = unpack_len(raw_buffer, pos + 20)[0]
+                if verify and not verify_record_bytes(raw_buffer, pos, length):
+                    raise CorruptionError(
+                        f"record at address {start + pos} fails its CRC on "
+                        f"read (length={length})",
+                        address=start + pos,
+                    )
                 offs.append(pos)
-                pos += HEADER_SIZE + unpack_len(raw_buffer, pos + 20)[0]
+                pos += HEADER_SIZE + length
             offsets = np.array(offs, dtype=np.int64)
         n = len(offsets)
         headers = raw[
@@ -1066,9 +1066,7 @@ class RecordLog:
             if start >= boundary:
                 try:
                     size = end - start
-                    region = (
-                        self.log.read_view(start, size) if self._mmap_reads else None
-                    )
+                    region = self.log.read_view(start, size)
                     if region is not None:
                         return region, True
                     return self.log.read(start, size), False

@@ -575,9 +575,7 @@ def _check_columnar_decode(
     if end <= start or end - start > COLUMNAR_CHECK_CAP:
         return
     columns = snapshot.region_columns(start, end)
-    if columns is None:
-        # Allowed: verify_on_read configs decode scalar-only by design.
-        return
+    assert columns is not None  # the region is non-empty
     scalar = list(record_log.iter_records_between(start, end))
     if len(columns) != len(scalar):
         failures.append(

@@ -125,24 +125,6 @@ class Snapshot:
             yield record
             address = record.prev_addr
 
-    def iter_region(  # loomflow: borrows=snapshot
-        self,
-        start: int,
-        end: int,
-        copy: bool = True,
-        stats: "Optional[QueryStats]" = None,
-    ) -> Iterator[Record]:
-        """Sequentially decode records in ``[start, min(end, watermark))``.
-
-        ``copy=False`` yields records whose payloads are memoryview slices
-        of the scan buffer (no per-record copy); see
-        :meth:`RecordLog.iter_records_between` for the aliasing contract.
-        """
-        end = min(end, self.watermark)
-        if start >= end:
-            return iter(())
-        return self.record_log.iter_records_between(start, end, copy=copy, stats=stats)
-
     def region_columns(  # loomflow: borrows=snapshot
         self,
         start: int,
@@ -151,9 +133,7 @@ class Snapshot:
     ) -> "Optional[RegionColumns]":
         """Columnar decode of ``[start, min(end, watermark))``.
 
-        Returns ``None`` (callers fall back to :meth:`iter_region`) when
-        the region is empty or the record log cannot serve a columnar
-        view (e.g. ``verify_on_read``).
+        Returns ``None`` when the region is empty.
         """
         end = min(end, self.watermark)
         if start >= end:

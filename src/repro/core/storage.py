@@ -356,11 +356,6 @@ class FileStorage(Storage):
         #: Parked reason the mmap tier is degraded (mapping failed); reads
         #: keep working through pread, views just return None.
         self._mmap_error: Optional[Exception] = None
-        #: Punch filesystem holes over recycled prefixes (best effort,
-        #: Linux only).  Set by the record log when the tier config asks
-        #: for physical reclamation; failures park in ``_punch_error``.
-        self.punch_holes = False
-        self._punch_error: Optional[Exception] = None
 
     @property
     def path(self) -> str:
@@ -434,39 +429,6 @@ class FileStorage(Storage):
         entry = (mapped, size)
         self._map = entry
         return entry
-
-    def recycle_prefix(self, upto: int, reason: str) -> int:
-        """Recycle ``[0, upto)``; optionally punch holes over it.
-
-        Without hole punching this is a metadata-only boundary (the file
-        keeps its bytes until offline compaction); with ``punch_holes``
-        the covered range is deallocated via ``fallocate(PUNCH_HOLE |
-        KEEP_SIZE)`` so the address arithmetic is unchanged while the
-        blocks are returned to the filesystem.  Punch failures are parked
-        in ``_punch_error`` (introspection can report them) — the archive
-        is already authoritative for the range either way.
-        """
-        old = self._recycled_upto
-        poisoned = super().recycle_prefix(upto, reason)
-        if self.punch_holes and upto > old:
-            try:
-                import ctypes
-
-                libc = ctypes.CDLL("libc.so.6", use_errno=True)
-                # FALLOC_FL_KEEP_SIZE (0x01) | FALLOC_FL_PUNCH_HOLE (0x02)
-                rc = libc.fallocate(
-                    self._write_f.fileno(),
-                    ctypes.c_int(0x03),
-                    ctypes.c_longlong(old),
-                    ctypes.c_longlong(upto - old),
-                )
-                if rc != 0:
-                    self._punch_error = OSError(
-                        ctypes.get_errno(), "fallocate(PUNCH_HOLE) failed"
-                    )
-            except (OSError, AttributeError) as exc:
-                self._punch_error = exc
-        return poisoned
 
     @property
     def size(self) -> int:

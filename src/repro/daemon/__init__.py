@@ -3,7 +3,7 @@ coordinator of section 8, long-term export (section 3), and the eBPF
 front-end sink integration (section 8)."""
 
 from .cli import CliError, CliResult, LoomCli, parse_duration
-from .client import LoomClient, RemoteNode
+from .client import LoomClient
 from .distributed import LoomCoordinator, NodeRef
 from .export import ArchiveInfo, export_range, iter_archive, read_archive
 from .frontends import LoomSink, StreamingAggregator
@@ -34,7 +34,6 @@ __all__ = [
     "LoomSink",
     "MonitoringDaemon",
     "NodeRef",
-    "RemoteNode",
     "ServerConfig",
     "SourceHandle",
     "StreamingAggregator",

@@ -31,9 +31,10 @@ until a cooldown elapses, then one trial request probes the server
 retry schedules is a self-inflicted DDoS; the breaker converts that
 into one probe per cooldown.
 
-:class:`RemoteNode` adapts a client to the node-backend surface of
-:class:`~repro.daemon.distributed.LoomCoordinator`, so a coordinator
-runs unchanged over in-process daemons or TCP nodes.
+A client is also a node backend of
+:class:`~repro.daemon.distributed.LoomCoordinator`: its query verbs have
+the signatures the coordinator calls, so a coordinator runs unchanged
+over in-process daemons or TCP nodes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import itertools
 import os
 import random
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.errors import (
     CircuitOpenError,
@@ -471,46 +472,3 @@ class LoomClient:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class RemoteNode:
-    """Adapts a :class:`LoomClient` to the coordinator's node-backend
-    surface, so :class:`~repro.daemon.distributed.LoomCoordinator` runs
-    the same code over TCP nodes as over in-process daemons."""
-
-    def __init__(self, client: LoomClient) -> None:
-        self.client = client
-
-    def aggregate(
-        self,
-        source: str,
-        index: str,
-        t_range: Tuple[int, int],
-        method: str,
-        percentile: Optional[float] = None,
-    ) -> QueryResult:
-        return self.client.aggregate(
-            source, index, t_range, method, percentile=percentile
-        )
-
-    def histogram(
-        self, source: str, index: str, t_range: Tuple[int, int]
-    ) -> QueryResult:
-        return self.client.histogram(source, index, t_range)
-
-    def bin_values(
-        self, source: str, index: str, t_range: Tuple[int, int], bin_idx: int
-    ) -> QueryResult:
-        return self.client.bin_values(source, index, t_range, bin_idx)
-
-    def index_spec(self, source: str, index: str) -> HistogramSpec:
-        return self.client.index_spec(source, index)
-
-    def scan(self, source: str, t_range: Tuple[int, int]) -> QueryResult:
-        return self.client.scan(source, t_range)
-
-    def health(self) -> Health:
-        return self.client.health()
-
-    def close(self) -> None:
-        self.client.close()

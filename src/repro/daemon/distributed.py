@@ -11,7 +11,7 @@ anything exposing the daemon's public :class:`~repro.core.operators.
 QueryResult` verbs (``aggregate`` / ``histogram`` / ``bin_values`` /
 ``scan`` / ``index_spec`` / ``health``).  In-process
 :class:`~repro.daemon.monitor.MonitoringDaemon` objects and
-:class:`~repro.daemon.client.RemoteNode` wire clients satisfy the same
+:class:`~repro.daemon.client.LoomClient` wire clients satisfy the same
 surface, so the identical coordinator code runs over a local cluster and
 over the network.
 
@@ -71,7 +71,7 @@ class NodeRef:
 
     ``daemon`` is any node backend speaking the public QueryResult verbs:
     an in-process :class:`~repro.daemon.monitor.MonitoringDaemon` or a
-    :class:`~repro.daemon.client.RemoteNode` over the wire protocol.
+    :class:`~repro.daemon.client.LoomClient` over the wire protocol.
     """
 
     name: str

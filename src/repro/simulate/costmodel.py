@@ -59,7 +59,8 @@ LOOM_CORES = 1
 #: Share of Loom's write-path cycles that are fixed per push call rather
 #: than per byte — clock read, bounds/rotation checks, summary and
 #: timestamp-index dict lookups, watermark publication.  Measured on this
-#: reproduction's ``push_many`` microbenchmark (BENCH_ingest.json): the
+#: reproduction's ingest workload (``python -m benchmarks.perf run
+#: --workload ingest``: ``ingest_rps`` against ``ingest_single_rps``): the
 #: batched path amortizes roughly this share of the per-record cost.
 LOOM_BATCH_AMORTIZABLE = 0.7
 

@@ -142,14 +142,13 @@ class TestFigure17ExactMatch:
             clock.set(max(t, clock.now()))
             loom.push(sid, payload)
         loom.sync()
-        stats = QueryStats()
-        records = loom.indexed_scan(
+        result = loom.scan_indexed(
             events.SRC_SYSCALL,
             exact_index,
             (base, clock.now()),
             (512.0, float("inf")),
-            stats=stats,
         )
+        records, stats = result.records, result.stats
         expected = sum(
             1 for _, _, p in stream if events.latency_value(p) >= 512.0
         )

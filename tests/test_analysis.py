@@ -90,7 +90,7 @@ class TestComposedQueries:
             clock.set(t)
             loom.push(1, b"anchor")
         loom.sync()
-        anchors = loom.raw_scan(1, (0, clock.now()))
+        anchors = loom.scan(1, (0, clock.now())).records
         report = correlate_windows(loom, anchors, 2, 1000, 1000)
         assert report.anchor_count == 3
         assert report.correlated_count == 3
@@ -104,7 +104,7 @@ class TestComposedQueries:
         clock.set(1100)
         loom.push(1, b"anchor")
         loom.sync()
-        anchors = loom.raw_scan(1, (0, clock.now()))
+        anchors = loom.scan(1, (0, clock.now())).records
         report = correlate_windows(
             loom, anchors, 2, 1000, 1000, predicate=lambda r: r.payload != b"noise"
         )

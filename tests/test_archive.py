@@ -37,7 +37,7 @@ from repro.core.loom import Loom
 from repro.core.operators import QueryStats
 from repro.core.record import encode_record
 from repro.core.record_log import RecordLog
-from repro.core.recovery import check_data_dir, fsck
+from repro.core.recovery import check_data_dir
 
 _VALUE = struct.Struct("<d")
 EDGES = [0.0, 25.0, 50.0, 75.0, 100.0]
@@ -483,40 +483,21 @@ class TestReopenWithArchive:
         assert state.retention_floor > 0
         assert state.archive_compressed_bytes < state.archive_raw_bytes
 
-    def test_fsck_shim_warns_and_delegates(self, tmp_path):
+    def test_check_data_dir_before_any_migration(self, tmp_path):
         cfg = _tiered_config(tmp_path)
         clock = VirtualClock(1_000)
         loom = Loom(cfg, clock=clock)
         _fill(loom, clock, count=100)
         loom.close()
-        with pytest.warns(DeprecationWarning, match="check_data_dir"):
-            state = fsck(str(tmp_path))
-        assert state.total_records == 100
+        report = check_data_dir(str(tmp_path))
+        assert report.ok
+        assert report.state.total_records == 100
 
 
 # ----------------------------------------------------------------------
 # Config and facade surface
 # ----------------------------------------------------------------------
 class TestTieredSurface:
-    def test_flat_config_kwargs_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="TierConfig"):
-            cfg = LoomConfig(archive_enabled=True)
-        assert cfg.tier is not None
-
-    def test_flat_retention_kwargs_warn_and_fold(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cfg = LoomConfig(
-                archive_enabled=True,
-                retention_horizon_ns=10_000,
-                retention_downsample=3,
-            )
-        messages = [str(w.message) for w in caught]
-        assert any("RetentionPolicy" in m for m in messages)
-        assert cfg.retention is not None
-        assert cfg.retention.mode == "downsample"
-        assert cfg.retention.keep_every == 3
-
     def test_retention_requires_tier(self):
         with pytest.raises(ValueError, match="tier"):
             LoomConfig(retention=RetentionPolicy(horizon_ns=1))

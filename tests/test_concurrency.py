@@ -37,7 +37,7 @@ def run_stress(threaded_flush: bool, n_records: int = 4000, readers: int = 2):
             try:
                 snap = loom.snapshot()
                 t_range = (0, 2**63 - 1)
-                result = loom.indexed_aggregate(
+                result = loom.aggregate(
                     1, index_id, t_range, "count", snapshot=snap
                 )
                 count = int(result.value or 0)
@@ -46,9 +46,9 @@ def run_stress(threaded_flush: bool, n_records: int = 4000, readers: int = 2):
                     return
                 last_count = count
                 # Values are i % 1000; any record outside that is torn.
-                for record in loom.indexed_scan(
+                for record in loom.scan_indexed(
                     1, index_id, t_range, (500.0, float("inf")), snapshot=snap
-                )[:50]:
+                ).records[:50]:
                     value = payload_value(record.payload)
                     if not 0 <= value < 1000:
                         errors.append(f"torn value: {value}")
@@ -75,7 +75,7 @@ class TestConcurrentQueries:
         loom, index_id, errors = run_stress(threaded_flush)
         assert errors == []
         # Final state is complete and exact.
-        result = loom.indexed_aggregate(1, index_id, (0, 2**63 - 1), "count")
+        result = loom.aggregate(1, index_id, (0, 2**63 - 1), "count")
         assert result.value == 4000.0
         loom.close()
 
@@ -91,11 +91,11 @@ class TestConcurrentQueries:
         loom.sync()
         snap = loom.snapshot()
         t_range = (0, 2**63 - 1)
-        first = loom.indexed_aggregate(1, index_id, t_range, "sum", snapshot=snap)
+        first = loom.aggregate(1, index_id, t_range, "sum", snapshot=snap)
         for i in range(2000):
             loom.push(1, value_payload(99999.0))
         loom.sync()
-        second = loom.indexed_aggregate(1, index_id, t_range, "sum", snapshot=snap)
+        second = loom.aggregate(1, index_id, t_range, "sum", snapshot=snap)
         assert first.value == second.value
         assert first.count == second.count == 1000
         loom.close()

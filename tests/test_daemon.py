@@ -17,7 +17,7 @@ class TestSourceManagement:
             daemon.sync()
             handle = daemon.source("app")
             assert handle.records_received == 1
-            records = daemon.loom.raw_scan(handle.source_id, (0, 200))
+            records = daemon.loom.scan(handle.source_id, (0, 200)).records
             assert len(records) == 1
 
     def test_auto_assigned_ids_are_unique(self):
@@ -60,7 +60,7 @@ class TestIndexLifecycle:
             )
             daemon.replay(latency_stream(2000, 1.0, seed=3))
             index_id = daemon.index_id("syscall", "latency")
-            result = daemon.loom.indexed_aggregate(
+            result = daemon.loom.aggregate(
                 events.SRC_SYSCALL, index_id, (0, daemon.clock.now()), "count"
             )
             assert result.value == 2000.0
@@ -97,9 +97,9 @@ class TestReplay:
             stream = latency_stream(1000, 2.0, seed=5)
             count = daemon.replay(stream)
             assert count == len(stream)
-            records = daemon.loom.raw_scan(
+            records = daemon.loom.scan(
                 events.SRC_SYSCALL, (0, daemon.clock.now())
-            )
+            ).records
             got_ts = sorted(r.timestamp for r in records)
             assert got_ts == [t for t, _, _ in stream]
 

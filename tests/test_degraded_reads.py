@@ -25,7 +25,6 @@ from repro.daemon import (
     LoomServer,
     MonitoringDaemon,
     NodeRef,
-    RemoteNode,
 )
 
 EDGES = [0.0, 10.0, 20.0, 30.0, 40.0]
@@ -57,7 +56,7 @@ def fleet():
         client.sync()
         servers.append(srv)
         clients.append(client)
-        nodes.append(NodeRef(f"node{i}", RemoteNode(client)))
+        nodes.append(NodeRef(f"node{i}", client))
     coordinator = LoomCoordinator(nodes, failure_threshold=1)
     yield servers, clients, coordinator
     for client in clients:

@@ -51,7 +51,7 @@ class TestExportRange:
         _, rows = read_archive(path)
         assert all(window[0] <= ts <= window[1] for _, ts, _ in rows)
         assert all(sid == events.SRC_SYSCALL for sid, _, _ in rows)
-        expected = len(daemon.loom.raw_scan(events.SRC_SYSCALL, window))
+        expected = len(daemon.loom.scan(events.SRC_SYSCALL, window).records)
         assert info.record_count == expected > 0
 
     def test_records_oldest_first_per_source(self, populated_daemon, tmp_path):
@@ -70,7 +70,7 @@ class TestExportRange:
         _, rows = read_archive(path)
         original = {
             r.timestamp: r.payload
-            for r in daemon.loom.raw_scan(events.SRC_APP, t_range)
+            for r in daemon.loom.scan(events.SRC_APP, t_range).records
         }
         for _, ts, payload in rows:
             assert original[ts] == payload

@@ -34,6 +34,8 @@ from repro.core.recovery import scan_persisted_records
 from repro.daemon.cli import LoomCli
 from repro.daemon.monitor import MonitoringDaemon
 
+from conftest import payload_value, value_payload
+
 pytestmark = pytest.mark.faults
 
 
@@ -162,7 +164,7 @@ class TestLoomHealth:
         loom.sync()
         assert loom.health() is Health.HEALTHY
         assert storage.faults_injected > 0
-        assert len(loom.raw_scan(1, (0, 10**9))) == 100
+        assert len(loom.scan(1, (0, 10**9)).records) == 100
 
     def test_failed_loom_rejects_ingest_but_serves_queries(self):
         storage = FaultInjectingStorage()
@@ -181,7 +183,7 @@ class TestLoomHealth:
         with pytest.raises(StorageError):
             loom.push(1, b"more")
         # Everything published before the failure is still queryable.
-        records = loom.raw_scan(1, (0, 10**9))
+        records = loom.scan(1, (0, 10**9)).records
         assert len(records) >= 20
         assert bytes(records[-1].payload) == b"q0000"
 
@@ -259,13 +261,47 @@ class TestCorruptionDetection:
             addresses.append(loom.push(1, b"value-%02d" % i))
         loom.sync()
         # Scans work while the data is intact.
-        assert len(loom.raw_scan(1, (0, 10**9))) == 30
+        assert len(loom.scan(1, (0, 10**9)).records) == 30
         victim = addresses[3]  # old enough to be flushed to the file
         assert victim + HEADER_SIZE < loom.record_log.log.persisted_tail
         corrupt_byte(loom.record_log.log.storage, victim + HEADER_SIZE + 1)
         with pytest.raises(CorruptionError) as exc_info:
             loom.record_log.read_record(victim)
         assert exc_info.value.address == victim
+
+    def test_verify_on_read_covers_region_scans(self, tmp_path):
+        """The columnar region decode CRC-checks each record, like the
+        point read above: both operators that read the victim's chunk
+        raise, naming the victim."""
+        cfg = LoomConfig(
+            data_dir=str(tmp_path / "d"),
+            chunk_size=512,
+            record_block_size=512,
+            verify_on_read=True,
+        )
+        clock = VirtualClock(1)
+        loom = Loom(cfg, clock=clock)
+        loom.define_source(1)
+        index_id = loom.define_index(1, payload_value, [10.0, 20.0])
+        addresses, stamps = [], []
+        for i in range(60):
+            clock.advance(10)
+            stamps.append(clock.now())
+            addresses.append(loom.push(1, value_payload(float(i))))
+        loom.sync()
+        victim = addresses[3]
+        assert victim + HEADER_SIZE < loom.record_log.log.persisted_tail
+        corrupt_byte(loom.record_log.log.storage, victim + HEADER_SIZE + 1)
+        # The range starts after the first record, so the victim's chunk
+        # straddles it and the aggregate has to scan that chunk too.
+        t_range = (stamps[1], stamps[-1])
+        for query in (
+            lambda: loom.scan_indexed(1, index_id, t_range),
+            lambda: loom.aggregate(1, index_id, t_range, "sum"),
+        ):
+            with pytest.raises(CorruptionError) as exc_info:
+                query()
+            assert exc_info.value.address == victim
 
     def test_verify_on_read_off_by_default(self, tmp_path):
         cfg = LoomConfig(

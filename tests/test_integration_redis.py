@@ -83,10 +83,10 @@ class TestDrillDown:
         needles = phases[2].needles
         anchors = []
         for needle in needles:
-            got = daemon.loom.raw_scan(
+            got = daemon.loom.scan(
                 events.SRC_APP,
                 (needle.request_time_ns, needle.request_time_ns),
-            )
+            ).records
             assert len(got) == 1
             anchors.append(got[0])
         report = correlate_windows(
@@ -112,7 +112,7 @@ class TestDrillDown:
                 needle.request_time_ns - seconds(5),
                 needle.request_time_ns + seconds(5),
             )
-            packets = daemon.loom.raw_scan(events.SRC_PACKET, window)
+            packets = daemon.loom.scan(events.SRC_PACKET, window).records
             mangled = [
                 p
                 for p in packets
@@ -136,12 +136,12 @@ class TestDrillDown:
         # check: query over the indexed window returns nothing since all
         # mangled packets predate the index.
         t_range = (0, daemon.clock.now())
-        records = daemon.loom.indexed_scan(
+        records = daemon.loom.scan_indexed(
             events.SRC_PACKET,
             index_id,
             t_range,
             (float(events.MANGLED_PORT), float(events.MANGLED_PORT)),
-        )
+        ).records
         got_ports = {events.unpack_packet(r.payload)[1] for r in records}
         assert got_ports <= {events.MANGLED_PORT}
 

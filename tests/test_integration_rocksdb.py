@@ -52,7 +52,7 @@ class TestPhase1Aggregates:
     def test_app_max_latency(self, ingested):
         workload, daemon, phases = ingested
         phase = phases[0]
-        result = daemon.loom.indexed_aggregate(
+        result = daemon.loom.aggregate(
             events.SRC_APP,
             daemon.index_id("app", "latency"),
             (phase.t_start_ns, phase.t_end_ns),
@@ -63,7 +63,7 @@ class TestPhase1Aggregates:
     def test_app_tail_latency(self, ingested):
         workload, daemon, phases = ingested
         phase = phases[0]
-        result = daemon.loom.indexed_aggregate(
+        result = daemon.loom.aggregate(
             events.SRC_APP,
             daemon.index_id("app", "latency"),
             (phase.t_start_ns, phase.t_end_ns),
@@ -79,18 +79,18 @@ class TestPhase2PreadAggregates:
         >= 0 counts exactly the pread64 records."""
         workload, daemon, phases = ingested
         phase = phases[1]
-        records = daemon.loom.indexed_scan(
+        records = daemon.loom.scan_indexed(
             events.SRC_SYSCALL,
             daemon.index_id("syscall", "pread-latency"),
             (phase.t_start_ns, phase.t_end_ns),
             (0.0, float("inf")),
-        )
+        ).records
         assert len(records) == int(phase.truth["pread_count"])
 
     def test_pread_max(self, ingested):
         workload, daemon, phases = ingested
         phase = phases[1]
-        result = daemon.loom.indexed_aggregate(
+        result = daemon.loom.aggregate(
             events.SRC_SYSCALL,
             daemon.index_id("syscall", "pread-latency"),
             (phase.t_start_ns, phase.t_end_ns),
@@ -111,12 +111,12 @@ class TestPhase3PageCacheCount:
         workload, daemon, phases = ingested
         phase = phases[2]
         kind = float(events.PC_ADD_TO_PAGE_CACHE)
-        records = daemon.loom.indexed_scan(
+        records = daemon.loom.scan_indexed(
             events.SRC_PAGECACHE,
             daemon.index_id("pagecache", "kind"),
             (phase.t_start_ns, phase.t_end_ns),
             (kind, kind),
-        )
+        ).records
         assert len(records) == int(phase.truth["pagecache_add_count"])
 
     def test_count_served_mostly_from_summaries(self, ingested):
@@ -124,7 +124,7 @@ class TestPhase3PageCacheCount:
         most chunks should not be scanned."""
         workload, daemon, phases = ingested
         phase = phases[2]
-        result = daemon.loom.indexed_aggregate(
+        result = daemon.loom.aggregate(
             events.SRC_PAGECACHE,
             daemon.index_id("pagecache", "kind"),
             (phase.t_start_ns, phase.t_end_ns),
@@ -138,7 +138,7 @@ class TestCrossPhaseWindows:
     def test_aggregate_over_all_phases(self, ingested):
         workload, daemon, phases = ingested
         t_range = (0, daemon.clock.now())
-        result = daemon.loom.indexed_aggregate(
+        result = daemon.loom.aggregate(
             events.SRC_APP, daemon.index_id("app", "latency"), t_range, "count"
         )
         expected = daemon.loom.source_record_count(events.SRC_APP)
@@ -150,7 +150,7 @@ class TestCrossPhaseWindows:
         app_in_phase = sum(
             1 for _, sid, _ in phase.records if sid == events.SRC_APP
         )
-        result = daemon.loom.indexed_aggregate(
+        result = daemon.loom.aggregate(
             events.SRC_APP,
             daemon.index_id("app", "latency"),
             (phase.t_start_ns, phase.t_end_ns - 1),

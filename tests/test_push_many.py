@@ -188,7 +188,7 @@ class TestPushManyAPI:
             addresses = loom.push_many(1, [b"x", b"y"])
             loom.sync()
             assert loom.total_records == 2
-            assert [r.payload for r in loom.raw_scan(1, (0, 10**18))] == [b"y", b"x"]
+            assert [r.payload for r in loom.scan(1, (0, 10**18)).records] == [b"y", b"x"]
             assert len(addresses) == 2
 
 

@@ -1,8 +1,8 @@
-"""QueryResult API: new query surface, deprecated shims, resolve_source."""
+"""QueryResult API: the query surface and resolve_source."""
 
 import pytest
 
-from repro.core import LoomConfig, QueryStats
+from repro.core import LoomConfig
 from repro.core.errors import LoomError
 from repro.daemon.monitor import MonitoringDaemon
 
@@ -47,60 +47,6 @@ class TestQueryResultSurface:
         assert "summary-prune" in where.trace.stages()
         assert any("scan" in s for s in where.trace.stages())
         assert loom.scan(source_id, EVERYTHING).trace is None  # opt-in
-
-
-class TestDeprecatedShims:
-    def test_raw_scan_warns_and_matches_scan(self, indexed_loom):
-        loom, source_id, _, _, _ = indexed_loom
-        with pytest.warns(DeprecationWarning, match="Loom.scan\\(\\)"):
-            legacy = loom.raw_scan(source_id, EVERYTHING)
-        assert legacy == loom.scan(source_id, EVERYTHING).records
-
-    def test_indexed_scan_warns_and_matches_scan_indexed(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        v_range = (50.0, 500.0)
-        with pytest.warns(DeprecationWarning, match="scan_indexed"):
-            legacy = loom.indexed_scan(source_id, index_id, EVERYTHING, v_range)
-        current = loom.scan_indexed(source_id, index_id, EVERYTHING, v_range)
-        assert legacy == current.records
-
-    def test_indexed_aggregate_warns_and_matches_aggregate(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        with pytest.warns(DeprecationWarning, match="Loom.aggregate\\(\\)"):
-            legacy = loom.indexed_aggregate(
-                source_id, index_id, EVERYTHING, "percentile", percentile=95.0
-            )
-        current = loom.aggregate(
-            source_id, index_id, EVERYTHING, "percentile", percentile=95.0
-        )
-        assert legacy.value == current.value
-        assert legacy.count == current.count
-
-    def test_shims_merge_into_caller_stats(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        stats = QueryStats()
-        with pytest.warns(DeprecationWarning):
-            loom.raw_scan(source_id, EVERYTHING, stats=stats)
-        after_scan = stats.records_matched
-        assert after_scan == 2000
-        with pytest.warns(DeprecationWarning):
-            agg = loom.indexed_aggregate(
-                source_id, index_id, EVERYTHING, "sum", stats=stats
-            )
-        # Accumulation: the same object keeps growing across calls, and
-        # the legacy AggregateResult hands back that same object.
-        assert stats.records_matched > after_scan
-        assert agg.stats is stats
-
-    def test_new_surface_does_not_warn(self, indexed_loom):
-        loom, source_id, index_id, _, _ = indexed_loom
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            loom.scan(source_id, EVERYTHING)
-            loom.scan_indexed(source_id, index_id, EVERYTHING)
-            loom.aggregate(source_id, index_id, EVERYTHING, "mean")
 
 
 class TestResolveSource:

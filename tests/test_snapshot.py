@@ -37,8 +37,8 @@ class TestSnapshotCapture:
             clock.advance(100)
         loom.sync()
         t_range = (0, clock.now())
-        old_view = loom.raw_scan(1, t_range, snapshot=snap)
-        live_view = loom.raw_scan(1, t_range)
+        old_view = loom.scan(1, t_range, snapshot=snap).records
+        live_view = loom.scan(1, t_range).records
         assert len(old_view) == 10
         assert len(live_view) == 20
 
@@ -112,7 +112,7 @@ class TestSnapshotIteration:
         ]
         assert values == [2.0, 1.0, 0.0]
 
-    def test_iter_region_clamps_to_watermark(self, clock):
+    def test_region_columns_clamps_to_watermark(self, clock):
         config = LoomConfig(chunk_size=512, publish_interval=3)
         loom = Loom(config, clock=clock)
         loom.define_source(1)
@@ -120,8 +120,8 @@ class TestSnapshotIteration:
             loom.push(1, value_payload(float(i)))
         snap = loom.snapshot()
         loom.push(1, value_payload(99.0))  # beyond snapshot watermark
-        records = list(snap.iter_region(0, loom.record_log.log.tail_address))
-        assert len(records) == 3
+        columns = snap.region_columns(0, loom.record_log.log.tail_address)
+        assert len(columns) == 3
         loom.close()
 
     def test_active_region_bounds(self, loom, clock):

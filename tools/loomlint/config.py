@@ -161,6 +161,7 @@ READER_ROOTS = (
     "repro.core.operators.indexed_scan",
     "repro.core.operators.indexed_aggregate",
     "repro.core.operators.bin_histogram",
+    "repro.core.operators.bin_values",
 )
 
 # Attribute name -> class name(s): how the call-graph builder resolves
