@@ -85,8 +85,8 @@ class StaleViewError(LoomError):
     outstanding tracked view over the affected byte range, and any later
     touch of a poisoned view raises this error instead of silently reading
     stale bytes.  Without the guard the same bug is undetectable memory
-    aliasing — exactly the reference-stability hazard the static analyzer
-    (``tools/loomflow``) proves absent from the read path.
+    aliasing — exactly the reference-stability hazard loomlint's LOOM201-208
+    rules (``tools/loomlint``) prove absent from the read path.
 
     Attributes:
         borrow_site: ``path:line in function`` where the view was borrowed

@@ -136,54 +136,13 @@ def encode_record(
     return body + _CRC.pack(record_crc(body, payload)) + payload
 
 
-def encode_batch_scalar(
+def encode_batch_arrays(
     source_id: int,
     timestamp: int,
     prev_addr: int,
     payloads: Sequence[bytes],
     base_address: int,
-) -> Tuple[bytes, List[int]]:
-    """Reference per-record framing loop (one ``pack_into`` per record).
-
-    Kept as the byte-identity oracle for :func:`encode_batch`: the property
-    tests assert the vectorized path produces exactly these bytes.  It is
-    also the fallback used by the columnar encoder for degenerate batches.
-    """
-    n = len(payloads)
-    total = HEADER_SIZE * n + sum(len(p) for p in payloads)
-    buffer = bytearray(total)
-    view = memoryview(buffer)
-    addresses: List[int] = []
-    append_addr = addresses.append
-    pack_body = _BODY.pack_into
-    pack_crc = _CRC.pack_into
-    offset = 0
-    address = base_address
-    prev = prev_addr
-    for payload in payloads:
-        length = len(payload)
-        pack_body(buffer, offset, source_id, timestamp, prev, length)
-        pack_crc(
-            buffer,
-            offset + BODY_SIZE,
-            crc32(payload, crc32(view[offset : offset + BODY_SIZE])),
-        )
-        offset += HEADER_SIZE
-        buffer[offset : offset + length] = payload
-        offset += length
-        append_addr(address)
-        prev = address
-        address += HEADER_SIZE + length
-    return bytes(buffer), addresses
-
-
-def encode_batch(
-    source_id: int,
-    timestamp: int,
-    prev_addr: int,
-    payloads: Sequence[bytes],
-    base_address: int,
-) -> Tuple[bytes, List[int]]:
+) -> "Tuple[bytes, np.ndarray]":
     """Frame a whole batch of records into one contiguous buffer, columnar.
 
     This is the write-side batching fast path.  Instead of packing records
@@ -204,33 +163,15 @@ def encode_batch(
 
     All records in the batch share one arrival ``timestamp`` (they arrived
     together); ``prev_addr`` is the source's chain head before the batch.
-    The output is byte-identical to :func:`encode_batch_scalar` — the
-    equivalence property tests pin that contract.
+    The output is byte-identical to one :func:`encode_record` per payload —
+    the equivalence property tests pin that contract against a scalar
+    reference encoder.
 
     Returns ``(buffer, addresses)`` where ``addresses[i]`` is the logical
     address record ``i`` will occupy once the buffer is appended at
-    ``base_address``.
-    """
-    buffer, addresses = encode_batch_arrays(
-        source_id, timestamp, prev_addr, payloads, base_address
-    )
-    return buffer, addresses.tolist()
-
-
-def encode_batch_arrays(
-    source_id: int,
-    timestamp: int,
-    prev_addr: int,
-    payloads: Sequence[bytes],
-    base_address: int,
-) -> "Tuple[bytes, np.ndarray]":
-    """Columnar core of :func:`encode_batch`.
-
-    Identical framing, but the per-record addresses come back as the
-    int64 offset column itself (``offsets + base_address``) rather than a
-    Python list — the batched ingest path segments the batch at chunk
-    boundaries with vectorized arithmetic on this column, so converting
-    to a list and back would be pure overhead.
+    ``base_address``, as the int64 offset column itself
+    (``offsets + base_address``) — the batched ingest path segments the
+    batch at chunk boundaries with vectorized arithmetic on this column.
     """
     n = len(payloads)
     if n == 0:

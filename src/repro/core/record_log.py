@@ -80,7 +80,7 @@ _LEN_FIELD = struct.Struct("<I")
 class RegionColumns:
     """Decoded header columns for one contiguous record-log region.
 
-    The columnar read-side counterpart of ``encode_batch``: all record
+    The columnar read-side counterpart of ``encode_batch_arrays``: all record
     headers in ``[start, start + len(buffer))`` decoded into parallel
     numpy vectors, with payload bytes left in place in ``buffer`` (which
     is a zero-copy storage view when the mmap read tier served the

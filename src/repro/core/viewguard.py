@@ -1,8 +1,8 @@
 """Runtime view-lifetime guard: poison-on-recycle for zero-copy views.
 
-This is the runtime twin of the ``tools/loomflow`` static analyzer.  The
-analyzer proves (over the AST) that no borrowed view outlives its validity
-window; this module makes the same property *falsifiable at runtime*: under
+This is the runtime twin of loomlint's view-lifetime rules (LOOM201-208
+in ``tools/loomlint``).  Those prove (over the AST) that no borrowed view
+outlives its validity window; this module makes the same property *falsifiable at runtime*: under
 ``LOOMSAN=1`` every zero-copy view handed out by the storage tier
 (:meth:`Storage.read_view`) or the staging blocks (:meth:`Block.flush_view`)
 is wrapped in a :class:`TrackedView` that records its *borrow site* (the
@@ -18,7 +18,7 @@ Design constraints:
 
 * **Inert by default.**  ``active`` is a module-level flag checked with one
   global load on the borrow path; production runs never allocate a wrapper
-  or a ledger entry.  :func:`repro.core.sanitizer.install` activates the
+  or a ledger entry.  :func:`tools.loomsan.sanitizer.install` activates the
   guard, so it rides along with every ``LOOMSAN=1`` run.
 * **Lock-free.**  The borrow path is reachable from reader/snapshot roots
   (loomlint LOOM101 forbids blocking primitives there), so the ledger uses

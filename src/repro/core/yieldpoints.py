@@ -12,12 +12,12 @@ keyword payloads below are never even built in production.
 Two kinds of consumer attach here:
 
 * The interleaving explorer and schedule fuzzer
-  (:mod:`repro.core.schedule`) install a *hook* that parks the calling
+  (:mod:`tools.loomsan.schedule`) install a *hook* that parks the calling
   thread until the scheduler grants it the next step, turning :func:`hit`
   call sites into the alphabet of explorable schedules.  Labels are part
   of that contract: renaming one invalidates recorded schedules, so
   treat them like a wire format.
-* The sanitizer (:mod:`repro.core.sanitizer`) registers *observers*
+* The sanitizer (:mod:`tools.loomsan.sanitizer`) registers *observers*
   that receive ``(label, info)`` for every :func:`hit` **and** every
   :func:`note`.  Notes are observation-only events — they never park or
   schedule, so adding one does not change the explorable schedule space.

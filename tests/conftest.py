@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core import (
+# The verification engines (tools/loomsan, tools/loommc) and the linter
+# live at the repo root, not under src/: make ``tools`` importable however
+# pytest was started.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
+
+from repro.core import (  # noqa: E402
     HistogramSpec,
     Loom,
     LoomConfig,
@@ -19,7 +27,7 @@ if os.environ.get("LOOMSAN") == "1":
     # Sanitized mode: every RecordLog in the whole suite runs against a
     # trivially-correct shadow model, with differential oracles at each
     # sync (cheap) and close (full).  See DESIGN.md section 9.
-    from repro.core.sanitizer import install as _loomsan_install
+    from tools.loomsan.sanitizer import install as _loomsan_install
 
     _loomsan_install()
 
@@ -65,7 +73,7 @@ def pytest_runtest_makereport(item, call):
     # violations noted in this process): each section is a replayable
     # JSON trace — feed it to `loommc replay <file>`.
     try:
-        from repro.core.modelcheck import dump_live_counterexamples
+        from tools.loommc.modelcheck import dump_live_counterexamples
 
         counterexamples = dump_live_counterexamples()
     except Exception as exc:

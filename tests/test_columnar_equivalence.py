@@ -1,12 +1,12 @@
 """Property tests: the columnar fast paths are exact, not approximate.
 
-Every vectorized hot path has a trivially-correct scalar counterpart that
-remains in the tree as its oracle:
+Every vectorized hot path is checked against a trivially-correct scalar
+counterpart:
 
-* :func:`repro.core.record.encode_batch` (columnar framing) must produce
-  byte-identical output to :func:`repro.core.record.encode_batch_scalar`
-  for arbitrary batch shapes — empty batches, single records, empty
-  payloads, mixed lengths;
+* :func:`repro.core.record.encode_batch_arrays` (columnar framing) must
+  produce byte-identical output to the per-record reference encoder
+  below (:func:`encode_batch_scalar`) for arbitrary batch shapes — empty
+  batches, single records, empty payloads, mixed lengths;
 * :meth:`ChunkSummary.add_indexed_values_array` (vectorized bin folding)
   must leave the summary bit-identical to the scalar
   :meth:`ChunkSummary.add_indexed_values` fold, including the NaN /
@@ -20,6 +20,8 @@ remains in the tree as its oracle:
 
 import math
 import struct
+from binascii import crc32
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core import HistogramSpec, LoomConfig, VirtualClock
 from repro.core.hybridlog import NULL_ADDRESS
-from repro.core.record import encode_batch, encode_batch_scalar
+from repro.core.record import BODY_SIZE, HEADER_SIZE, encode_batch_arrays
 from repro.core.record_log import RecordLog
 from repro.core.snapshot import Snapshot
 from repro.core.storage import FileStorage, MemoryStorage
@@ -52,6 +54,50 @@ def _small_config(**overrides) -> LoomConfig:
     return LoomConfig(**defaults)
 
 
+_BODY = struct.Struct("<IQQI")
+_CRC = struct.Struct("<I")
+
+
+def encode_batch_scalar(
+    source_id: int,
+    timestamp: int,
+    prev_addr: int,
+    payloads: Sequence[bytes],
+    base_address: int,
+) -> Tuple[bytes, List[int]]:
+    """Reference per-record framing loop (one ``pack_into`` per record).
+
+    The byte-identity oracle for :func:`encode_batch_arrays`: the property
+    tests assert the vectorized path produces exactly these bytes.
+    """
+    n = len(payloads)
+    total = HEADER_SIZE * n + sum(len(p) for p in payloads)
+    buffer = bytearray(total)
+    view = memoryview(buffer)
+    addresses: List[int] = []
+    append_addr = addresses.append
+    pack_body = _BODY.pack_into
+    pack_crc = _CRC.pack_into
+    offset = 0
+    address = base_address
+    prev = prev_addr
+    for payload in payloads:
+        length = len(payload)
+        pack_body(buffer, offset, source_id, timestamp, prev, length)
+        pack_crc(
+            buffer,
+            offset + BODY_SIZE,
+            crc32(payload, crc32(view[offset : offset + BODY_SIZE])),
+        )
+        offset += HEADER_SIZE
+        buffer[offset : offset + length] = payload
+        offset += length
+        append_addr(address)
+        prev = address
+        address += HEADER_SIZE + length
+    return bytes(buffer), addresses
+
+
 class TestEncodeBatchEquivalence:
     @SETTINGS
     @given(
@@ -66,8 +112,11 @@ class TestEncodeBatchEquivalence:
     ):
         prev = NULL_ADDRESS if prev_is_null else max(0, base_address - 64)
         want = encode_batch_scalar(source_id, timestamp, prev, payloads, base_address)
-        got = encode_batch(source_id, timestamp, prev, payloads, base_address)
-        assert got == want
+        buffer, addresses = encode_batch_arrays(
+            source_id, timestamp, prev, payloads, base_address
+        )
+        assert addresses.dtype == np.int64
+        assert (buffer, addresses.tolist()) == want
 
     def test_degenerate_shapes(self):
         """The edges the vectorized offset math must not get wrong."""
@@ -81,8 +130,8 @@ class TestEncodeBatchEquivalence:
         ]
         for payloads in cases:
             want = encode_batch_scalar(7, 1234, NULL_ADDRESS, payloads, 96)
-            got = encode_batch(7, 1234, NULL_ADDRESS, payloads, 96)
-            assert got == want, payloads
+            buffer, addresses = encode_batch_arrays(7, 1234, NULL_ADDRESS, payloads, 96)
+            assert (buffer, addresses.tolist()) == want, payloads
 
 
 values_st = st.lists(

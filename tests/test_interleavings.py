@@ -12,7 +12,7 @@ import pytest
 from repro.core import yieldpoints
 from repro.core.block import Block
 from repro.core.errors import SnapshotRetry
-from repro.core.schedule import (
+from tools.loomsan.schedule import (
     HookTeardownError,
     InterleavingExplorer,
     Scenario,

@@ -1,47 +1,58 @@
-"""Tests for the loomlint concurrency-invariant linter.
+"""Tests for loomlint's concurrency rules (LOOM101-116), config and CLI.
 
-Each test builds a tiny synthetic ``repro/core`` package in a temp
-directory and runs the linter over it, so rule behaviour is pinned
+Each rule test builds a tiny synthetic ``repro/core`` package in a temp
+directory and runs the rules over it, so rule behaviour is pinned
 independently of the real source tree.  The final tests run loomlint
-over the actual repo ``src/`` and assert it is clean modulo the
-checked-in baseline — the same gate CI applies.
+over the actual repo ``src/`` (the same gate CI applies) and over a
+copy of it with one configured name renamed: a lint config that no
+longer resolves must be a usage error, not a smaller check.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
+from tools.loomlint import ProjectIndex, lint as run_rules, run
+from tools.loomlint.config import ENGINE_PATHS, RULES
 
-# The tools package lives at the repo root (not under src/); tests run
-# from a checkout, so resolve it relative to this file.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if _REPO_ROOT not in sys.path:
-    sys.path.insert(0, _REPO_ROOT)
-
-from tools.loomlint import run  # noqa: E402
-from tools.loomlint.config import RULES  # noqa: E402
 
 
-def make_core(tmp_path, **modules):
-    """Create repro/core/<name>.py files and return the package root."""
-    core = tmp_path / "repro" / "core"
-    core.mkdir(parents=True)
+def make_package(tmp_path, package, **modules):
+    """Create repro/<package>/<name>.py files under tmp_path."""
+    directory = tmp_path / "repro" / package
+    directory.mkdir(parents=True)
     (tmp_path / "repro" / "__init__.py").write_text("")
-    (core / "__init__.py").write_text("")
+    (directory / "__init__.py").write_text("")
     for name, source in modules.items():
-        (core / (name + ".py")).write_text(source)
-    return tmp_path / "repro"
+        (directory / (name + ".py")).write_text(source)
+
+
+def make_engine(tmp_path, rel, source):
+    """Write a stand-in for one verification engine (ENGINE_PATHS)."""
+    assert rel in ENGINE_PATHS
+    path = tmp_path / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / "tools" / "__init__.py").write_text("")
+    (path.parent / "__init__.py").write_text("")
+    path.write_text(source)
+
+
+def lint_tree(tmp_path):
+    """The rules alone over a partial tree (``run`` would reject it:
+    most of the lint config cannot resolve in a one-module project)."""
+    return run_rules(ProjectIndex.build([str(tmp_path / "repro")], str(tmp_path)))
 
 
 def lint(tmp_path, **modules):
-    root = make_core(tmp_path, **modules)
-    result = run([str(root)], root=str(tmp_path), baseline_path=None)
-    return result
+    make_package(tmp_path, "core", **modules)
+    return lint_tree(tmp_path)
 
 
 def codes(result):
-    return sorted(v.rule for v in result.violations)
+    return sorted(v.rule for v in result.findings)
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +70,7 @@ class Snapshot:
 """,
     )
     assert codes(result) == ["LOOM101"]
-    (v,) = result.violations
+    (v,) = result.findings
     assert "lock" in v.message
     assert v.symbol == "repro.core.snapshot.Snapshot.capture"
 
@@ -84,7 +95,7 @@ class Snapshot:
 """,
     )
     assert codes(result) == ["LOOM101"]
-    (v,) = result.violations
+    (v,) = result.findings
     assert "os.fsync" in v.message
     assert v.symbol == "repro.core.storage.Storage.sync"
     assert "reachable via" in v.message
@@ -103,7 +114,7 @@ class HybridLog:
         time.sleep(0.01)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_subclass_override_included_in_closure(tmp_path):
@@ -131,7 +142,29 @@ class Snapshot:
 """,
     )
     assert codes(result) == ["LOOM101"]
-    assert result.violations[0].symbol == "repro.core.storage.FileStorage.sync"
+    assert result.findings[0].symbol == "repro.core.storage.FileStorage.sync"
+
+
+def test_columnar_read_path_is_a_reader_root(tmp_path):
+    """RecordLog.region_columns/_region_buffer are the query read path;
+    they are roots in their own right, not only via Snapshot.*."""
+    result = lint(
+        tmp_path,
+        record_log="""
+class RecordLog:
+    def _publish(self):
+        "Publication order: payload stores before the watermark."
+
+    def region_columns(self, start, end):
+        return self._region_buffer(start, end)
+
+    def _region_buffer(self, start, end):
+        with self._region_lock:
+            return self._cache[start]
+""",
+    )
+    assert codes(result) == ["LOOM101"]
+    assert result.findings[0].symbol.endswith("RecordLog._region_buffer")
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +196,7 @@ class Block:
 """,
     )
     assert codes(result) == ["LOOM102"]
-    assert "return/raise between version bumps" in result.violations[0].message
+    assert "return/raise between version bumps" in result.findings[0].message
 
 
 def test_direct_version_store_flagged_outside_init(tmp_path):
@@ -179,7 +212,7 @@ class Block:
 """,
     )
     assert codes(result) == ["LOOM102"]
-    assert result.violations[0].symbol == "repro.core.blk.Block.reset"
+    assert result.findings[0].symbol == "repro.core.blk.Block.reset"
 
 
 def test_balanced_bumps_clean(tmp_path):
@@ -193,7 +226,7 @@ class Block:
         self._version += 1
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +255,23 @@ class RecordLog:
         self._watermark = 10
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
+
+
+def test_columnar_summary_fold_is_a_payload_store(tmp_path):
+    """push_many folds through add_indexed_values_array, not the
+    per-record add_indexed_value; the rule must see both."""
+    result = lint(
+        tmp_path,
+        rlog="""
+class RecordLog:
+    def push_many(self, values):
+        self._publish()
+        self._active_summary.add_indexed_values_array(0, values)
+""",
+    )
+    assert codes(result) == ["LOOM103"]
+    assert "add_indexed_values_array" in result.findings[0].message
 
 
 def test_list_append_not_a_payload_store(tmp_path):
@@ -236,7 +285,7 @@ class RecordLog:
         out.append(1)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -282,21 +331,15 @@ class Clock:
         return time.time()
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
 # LOOM111: nondeterminism in the metrics layer (repro/scope)
 # ----------------------------------------------------------------------
 def lint_scope(tmp_path, **modules):
-    """Create repro/scope/<name>.py files and lint the package."""
-    scope = tmp_path / "repro" / "scope"
-    scope.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (scope / "__init__.py").write_text("")
-    for name, source in modules.items():
-        (scope / (name + ".py")).write_text(source)
-    return run([str(tmp_path / "repro")], root=str(tmp_path), baseline_path=None)
+    make_package(tmp_path, "scope", **modules)
+    return lint_tree(tmp_path)
 
 
 def test_wall_clock_in_scope_flagged(tmp_path):
@@ -311,7 +354,7 @@ def stamp():
 """,
     )
     assert codes(result) == ["LOOM111"]
-    (v,) = result.violations
+    (v,) = result.findings
     assert "repro.core.clock" in v.message
 
 
@@ -323,7 +366,7 @@ def stamp(registry):
     return registry.clock.now()
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_scope_suppression_applies_to_loom111(tmp_path):
@@ -337,7 +380,7 @@ def stamp():
     return time.time()  # loomlint: disable=metrics-clock
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
     assert [v.rule for v in result.suppressed] == ["LOOM111"]
 
 
@@ -370,7 +413,7 @@ def flush():
 """,
     )
     assert codes(result) == ["LOOM105"]
-    assert "discards the error" in result.violations[0].message
+    assert "discards the error" in result.findings[0].message
 
 
 def test_handler_that_reraises_clean(tmp_path):
@@ -384,7 +427,7 @@ def flush():
         raise
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_handler_that_uses_error_clean(tmp_path):
@@ -398,7 +441,7 @@ def flush(self):
         self.park(exc)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_swallow_outside_flush_modules_allowed(tmp_path):
@@ -412,7 +455,7 @@ def tidy():
         pass
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +499,7 @@ class Snapshot:
     )
     # Only try_copy lacks its keyword ("seqlock").
     assert codes(result) == ["LOOM106"]
-    assert result.violations[0].symbol == "repro.core.block.Block.try_copy"
+    assert result.findings[0].symbol == "repro.core.block.Block.try_copy"
 
 
 def test_contract_function_deleted_flagged(tmp_path):
@@ -474,7 +517,7 @@ class Block:
         self._version += 1
 """,
     )
-    missing = [v for v in result.violations if "is missing" in v.message]
+    missing = [v for v in result.findings if "is missing" in v.message]
     assert len(missing) == 1
     assert missing[0].symbol == "repro.core.block.Block.read_range"
 
@@ -492,7 +535,7 @@ class Block:
 """,
     )
     assert codes(result) == ["LOOM107"]
-    assert "base_address" in result.violations[0].message
+    assert "base_address" in result.findings[0].message
 
 
 def test_seqlock_store_with_yield_marker_clean(tmp_path):
@@ -506,7 +549,7 @@ class Block:
         yieldpoints.hit("block.map", block=self)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_seqlock_store_inside_version_bracket_clean(tmp_path):
@@ -521,7 +564,7 @@ class Block:
         self._version += 1
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_seqlock_store_outside_bracket_flagged(tmp_path):
@@ -537,7 +580,7 @@ class Block:
 """,
     )
     assert codes(result) == ["LOOM107"]
-    assert "filled" in result.violations[0].message
+    assert "filled" in result.findings[0].message
 
 
 def test_init_exempt_from_seqlock_visibility(tmp_path):
@@ -550,58 +593,36 @@ class Block:
         self.filled = 0
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
-# LOOM108: sanitizer isolation
+# LOOM108: the runtime never imports the tooling
 # ----------------------------------------------------------------------
-def test_module_scope_sanitizer_import_flagged(tmp_path):
-    result = lint(
-        tmp_path,
-        hot="""
-from . import sanitizer
-""",
-    )
-    assert codes(result) == ["LOOM108"]
-
-
-def test_env_guarded_sanitizer_import_clean(tmp_path):
-    result = lint(
-        tmp_path,
-        hot="""
-import os
-
-if os.environ.get("LOOMSAN") == "1":
-    from repro.core.sanitizer import install
-
-    install()
-""",
-    )
-    assert result.violations == []
-
-
-def test_function_scope_sanitizer_import_clean(tmp_path):
+def test_runtime_import_of_tools_flagged(tmp_path):
     result = lint(
         tmp_path,
         hot="""
 def enable():
-    from repro.core import sanitizer
+    from tools.loomsan import sanitizer
 
     sanitizer.install()
 """,
     )
-    assert result.violations == []
+    assert codes(result) == ["LOOM108"]
+    assert "tools.loomsan" in result.findings[0].message
 
 
-def test_sanitizer_module_itself_exempt(tmp_path):
+def test_runtime_import_of_own_package_clean(tmp_path):
     result = lint(
         tmp_path,
-        sanitizer="""
-import repro.core.sanitizer
+        hot="""
+import toolshed
+from . import viewguard
+from repro.core import yieldpoints
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -649,38 +670,33 @@ def _shadow_src(mirrors, extra=()):
     return "\n".join(lines) + "\n"
 
 
+def lint_shadow(tmp_path, shadow_src):
+    make_engine(tmp_path, "tools/loomsan/sanitizer.py", shadow_src)
+    return lint(tmp_path, record_log=_RECORD_LOG_SRC)
+
+
 def test_complete_shadow_surface_clean(tmp_path):
-    result = lint(
-        tmp_path,
-        record_log=_RECORD_LOG_SRC,
-        sanitizer=_shadow_src(_SHADOW_MIRRORS),
-    )
-    assert result.violations == []
+    result = lint_shadow(tmp_path, _shadow_src(_SHADOW_MIRRORS))
+    assert result.findings == []
 
 
 def test_missing_shadow_mirror_flagged(tmp_path):
-    result = lint(
-        tmp_path,
-        record_log=_RECORD_LOG_SRC,
-        sanitizer=_shadow_src([m for m in _SHADOW_MIRRORS if m != "push_many"]),
+    result = lint_shadow(
+        tmp_path, _shadow_src([m for m in _SHADOW_MIRRORS if m != "push_many"])
     )
     assert codes(result) == ["LOOM109"]
-    assert "on_push_many" in result.violations[0].message
+    assert "on_push_many" in result.findings[0].message
 
 
 def test_unmapped_shadow_mirror_flagged(tmp_path):
-    result = lint(
-        tmp_path,
-        record_log=_RECORD_LOG_SRC,
-        sanitizer=_shadow_src(_SHADOW_MIRRORS, extra=["truncate"]),
-    )
+    result = lint_shadow(tmp_path, _shadow_src(_SHADOW_MIRRORS, extra=["truncate"]))
     assert codes(result) == ["LOOM109"]
-    assert "on_truncate" in result.violations[0].message
+    assert "on_truncate" in result.findings[0].message
 
 
 def test_shadow_rule_inert_without_both_classes(tmp_path):
     result = lint(tmp_path, record_log=_RECORD_LOG_SRC)
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -696,7 +712,7 @@ class Block:
 """,
     )
     assert codes(result) == ["LOOM110"]
-    assert "computed" in result.violations[0].message
+    assert "computed" in result.findings[0].message
 
 
 def test_nonconforming_literal_label_flagged(tmp_path):
@@ -709,7 +725,7 @@ class Block:
 """,
     )
     assert codes(result) == ["LOOM110"]
-    assert "alphabet" in result.violations[0].message
+    assert "alphabet" in result.findings[0].message
 
 
 def test_dotted_literal_label_clean(tmp_path):
@@ -722,13 +738,14 @@ class Block:
         yieldpoints.note("block.try_copy.version1", version=2)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_foreign_wire_format_key_flagged(tmp_path):
-    result = lint(
+    make_engine(
         tmp_path,
-        schedule="""
+        "tools/loomsan/schedule.py",
+        """
 class FuzzSchedule:
     def to_json(self):
         payload = {
@@ -742,14 +759,16 @@ class FuzzSchedule:
         return payload
 """,
     )
+    result = lint(tmp_path)
     assert codes(result) == ["LOOM110"]
-    assert "recorded_at" in result.violations[0].message
+    assert "recorded_at" in result.findings[0].message
 
 
 def test_declared_wire_format_clean(tmp_path):
-    result = lint(
+    make_engine(
         tmp_path,
-        schedule="""
+        "tools/loomsan/schedule.py",
+        """
 class FuzzSchedule:
     def to_json(self):
         return {
@@ -761,11 +780,11 @@ class FuzzSchedule:
         }
 """,
     )
-    assert result.violations == []
+    assert lint(tmp_path).findings == []
 
 
 # ----------------------------------------------------------------------
-# Suppressions and baseline
+# Suppressions
 # ----------------------------------------------------------------------
 def test_line_suppression_by_code_and_slug(tmp_path):
     result = lint(
@@ -779,7 +798,7 @@ class Block:
         self._version += 1  # loomlint: disable=version-parity
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
     assert len(result.suppressed) == 2
 
 
@@ -794,7 +813,7 @@ class Snapshot:
             return 1
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
     assert len(result.suppressed) == 1
 
 
@@ -810,49 +829,12 @@ class Block:
     assert codes(result) == ["LOOM102"]
 
 
-def test_baseline_filters_known_violations(tmp_path):
-    root = make_core(
-        tmp_path,
-        blk="""
-class Block:
-    def a(self):
-        self._version += 1
-""",
-    )
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(
-        json.dumps(
-            [
-                {
-                    "rule": "LOOM102",
-                    "path": "repro/core/blk.py",
-                    "symbol": "repro.core.blk.Block.a",
-                }
-            ]
-        )
-    )
-    result = run([str(root)], root=str(tmp_path), baseline_path=str(baseline))
-    assert result.violations == []
-    assert len(result.baselined) == 1
-
-
 # ----------------------------------------------------------------------
 # LOOM112-LOOM116: the networked service rules
 # ----------------------------------------------------------------------
-def make_daemon(tmp_path, **modules):
-    """Create repro/daemon/<name>.py files and return the package root."""
-    daemon = tmp_path / "repro" / "daemon"
-    daemon.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (daemon / "__init__.py").write_text("")
-    for name, source in modules.items():
-        (daemon / (name + ".py")).write_text(source)
-    return tmp_path / "repro"
-
-
 def lint_daemon(tmp_path, **modules):
-    root = make_daemon(tmp_path, **modules)
-    return run([str(root)], root=str(tmp_path), baseline_path=None)
+    make_package(tmp_path, "daemon", **modules)
+    return lint_tree(tmp_path)
 
 
 def test_sleep_reachable_from_async_handler_flagged(tmp_path):
@@ -871,7 +853,7 @@ class Server:
 """,
     )
     assert codes(result) == ["LOOM112"]
-    (v,) = result.violations
+    (v,) = result.findings
     assert "time.sleep" in v.message
     assert v.symbol == "repro.daemon.server.Server._settle"
 
@@ -885,7 +867,7 @@ class Server:
         await self._stop.wait()
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_admission_queue_put_exempt_blocking_get_flagged(tmp_path):
@@ -902,8 +884,8 @@ class Server:
 """,
     )
     assert codes(result) == ["LOOM112"]
-    assert "queue" in result.violations[0].message
-    assert "get" in result.violations[0].message
+    assert "queue" in result.findings[0].message
+    assert "get" in result.findings[0].message
 
 
 def test_sync_sleep_outside_async_closure_clean(tmp_path):
@@ -918,7 +900,7 @@ class Worker:
         time.sleep(0.1)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_async_touching_shard_state_flagged(tmp_path):
@@ -932,8 +914,8 @@ class Server:
 """,
     )
     assert codes(result) == ["LOOM113", "LOOM113"]
-    reads = [v for v in result.violations if "reads" in v.message]
-    writes = [v for v in result.violations if "mutates" in v.message]
+    reads = [v for v in result.findings if "reads" in v.message]
+    writes = [v for v in result.findings if "mutates" in v.message]
     assert len(reads) == 1 and ".shedding" in reads[0].message
     assert len(writes) == 1 and ".pending" in writes[0].message
 
@@ -950,7 +932,7 @@ class Shard:
         return "ack"
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_request_method_without_deadline_param_flagged(tmp_path):
@@ -966,9 +948,9 @@ class LoomClient:
 """,
     )
     assert codes(result) == ["LOOM114", "LOOM114"]
-    messages = " / ".join(v.message for v in result.violations)
+    messages = " / ".join(v.message for v in result.findings)
     assert "deadline_s" in messages
-    assert all(v.symbol.endswith("LoomClient.health") for v in result.violations)
+    assert all(v.symbol.endswith("LoomClient.health") for v in result.findings)
 
 
 def test_request_method_forwarding_deadline_clean(tmp_path):
@@ -983,7 +965,7 @@ class LoomClient:
         return self._request({"op": "health"}, deadline_s=deadline_s)
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_frame_io_without_timeout_flagged(tmp_path):
@@ -997,7 +979,7 @@ class LoomClient:
 """,
     )
     assert codes(result) == ["LOOM114"]
-    assert "set_timeout" in result.violations[0].message
+    assert "set_timeout" in result.findings[0].message
 
 
 def test_frame_io_with_timeout_clean(tmp_path):
@@ -1011,7 +993,7 @@ class LoomClient:
         return self._transport.recv_frame()
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_redeclared_wire_struct_format_flagged(tmp_path):
@@ -1024,7 +1006,7 @@ _PREFIX = struct.Struct(">I")
 """,
     )
     assert codes(result) == ["LOOM115"]
-    assert "'>I'" in result.violations[0].message
+    assert "'>I'" in result.findings[0].message
 
 
 def test_rebound_wire_constant_flagged(tmp_path):
@@ -1035,7 +1017,7 @@ MAX_FRAME_BYTES = 1 << 20
 """,
     )
     assert codes(result) == ["LOOM115"]
-    assert "MAX_FRAME_BYTES" in result.violations[0].message
+    assert "MAX_FRAME_BYTES" in result.findings[0].message
 
 
 def test_protocol_module_owns_wire_constants(tmp_path):
@@ -1049,7 +1031,7 @@ LEN_PREFIX = struct.Struct(">I")
 MAX_FRAME_BYTES = 8 << 20
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_foreign_struct_format_not_a_wire_constant(tmp_path):
@@ -1062,7 +1044,7 @@ import struct
 _FRAME = struct.Struct("<IQI")
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_raw_header_subscript_flagged(tmp_path):
@@ -1075,7 +1057,7 @@ class Server:
 """,
     )
     assert codes(result) == ["LOOM116"]
-    assert "header['op']" in result.violations[0].message
+    assert "header['op']" in result.findings[0].message
 
 
 def test_guarded_header_subscript_clean(tmp_path):
@@ -1095,7 +1077,7 @@ class Server:
         return None
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_header_store_and_get_are_not_raw_reads(tmp_path):
@@ -1108,7 +1090,7 @@ class LoomClient:
         return header.get("op")
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 def test_header_subscript_outside_daemon_modules_ignored(tmp_path):
@@ -1119,169 +1101,126 @@ def peek(header):
     return header["op"]
 """,
     )
-    assert result.violations == []
+    assert result.findings == []
 
 
 # ----------------------------------------------------------------------
-# The real tree and the CLI
+# The real tree, config resolution and the CLI
 # ----------------------------------------------------------------------
-def test_repo_src_is_clean_modulo_baseline():
-    baseline = os.path.join(_REPO_ROOT, "tools", "loomlint", "baseline.json")
-    result = run(
-        [os.path.join(_REPO_ROOT, "src")],
-        root=_REPO_ROOT,
-        baseline_path=baseline,
-    )
-    rendered = "\n".join(v.render() for v in result.violations)
-    assert result.clean, f"new loomlint violations:\n{rendered}"
+def test_repo_src_is_clean():
+    result = run([os.path.join(_REPO_ROOT, "src")], root=_REPO_ROOT)
+    rendered = "\n".join(v.render() for v in result.findings)
+    assert result.clean, f"new loomlint findings:\n{rendered}"
+    # The fuzzer's seeded randomness, the only two accepted findings.
+    assert [(v.rule, v.path) for v in result.suppressed] == [
+        ("LOOM104", "tools/loomsan/schedule.py")
+    ] * 2
 
 
-def test_cli_exit_codes(tmp_path):
-    make_core(
-        tmp_path,
-        blk="""
-class Block:
-    def a(self):
-        self._version += 1
-""",
-    )
-    env = dict(os.environ, PYTHONPATH=_REPO_ROOT)
-    bad = subprocess.run(
-        [sys.executable, "-m", "tools.loomlint", "repro/", "--no-baseline"],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert bad.returncode == 1
-    assert "LOOM102" in bad.stdout
+def project_copy(tmp_path):
+    """The real tree loomlint analyses, copied so a test can edit it."""
+    shutil.copytree(os.path.join(_REPO_ROOT, "src", "repro"), tmp_path / "src" / "repro")
+    for rel in ENGINE_PATHS:
+        with open(os.path.join(_REPO_ROOT, rel), encoding="utf-8") as f:
+            make_engine(tmp_path, rel, f.read())
+    return tmp_path
 
-    clean = subprocess.run(
-        [sys.executable, "-m", "tools.loomlint", "repro/core/__init__.py"],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert clean.returncode == 0, clean.stderr
 
-    missing = subprocess.run(
-        [sys.executable, "-m", "tools.loomlint", "no/such/dir"],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+def loomlint_cli(monkeypatch, capsys, cwd, *args):
+    """``loomlint <args>`` run in-process from the project's root.  (A
+    subprocess started there would import the copy's stand-in ``tools``
+    package instead of the real one.)"""
+    from tools.loomlint.__main__ import main
+
+    monkeypatch.chdir(cwd)
+    returncode = main(list(args))
+    return subprocess.CompletedProcess(args, returncode, *capsys.readouterr())
+
+
+def rewrite(path, old, new):
+    source = path.read_text()
+    assert old in source
+    path.write_text(source.replace(old, new))
+
+
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
+    project = project_copy(tmp_path)
+    clean = loomlint_cli(monkeypatch, capsys, project, "src/")
+    assert clean.returncode == 0, clean.stdout + clean.stderr
+    assert "clean (2 suppressed)" in clean.stdout
+
+    missing = loomlint_cli(monkeypatch, capsys, project, "no/such/dir")
     assert missing.returncode == 2
 
-
-def test_update_baseline_verb_round_trips(tmp_path):
-    make_core(
-        tmp_path,
-        blk="""
-class Block:
-    def a(self):
-        self._version += 1
-""",
+    # One LOOM1xx and one LOOM2xx finding: exit 1, both in the JSON artifact.
+    (project / "src" / "repro" / "core" / "cache.py").write_text(
+        "class Cache:\n"
+        "    def bump(self):\n"
+        "        self._version += 1\n"
+        "\n"
+        "    def warm(self, storage):\n"
+        "        self._hot = storage.read_view(0, 64)\n"
     )
-    env = dict(os.environ, PYTHONPATH=_REPO_ROOT)
-    baseline = tmp_path / "accepted.json"
-
-    update = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tools.loomlint",
-            "repro/",
-            "--baseline",
-            str(baseline),
-            "--update-baseline",
-        ],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert update.returncode == 0, update.stderr
-    entries = json.loads(baseline.read_text())
-    assert entries == [
-        {
-            "rule": "LOOM102",
-            "path": "repro/core/blk.py",
-            "symbol": "repro.core.blk.Block.a",
-        }
-    ]
-
-    # The same tree now lints clean against the written baseline...
-    clean = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tools.loomlint",
-            "repro/",
-            "--baseline",
-            str(baseline),
-        ],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-    assert "1 baselined" in clean.stdout
-
-    # ...and re-updating after the fix empties the baseline instead of
-    # accumulating stale entries.
-    (tmp_path / "repro" / "core" / "blk.py").write_text(
-        "class Block:\n    pass\n"
-    )
-    subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tools.loomlint",
-            "repro/",
-            "--baseline",
-            str(baseline),
-            "--update-baseline",
-        ],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert json.loads(baseline.read_text()) == []
+    out = tmp_path / "findings.json"
+    bad = loomlint_cli(monkeypatch, capsys, project, "src/", "--out", str(out))
+    assert bad.returncode == 1, bad.stdout + bad.stderr
+    assert "LOOM102" in bad.stdout and "LOOM202" in bad.stdout
+    payload = json.loads(out.read_text())
+    assert [f["rule"] for f in payload["findings"]] == ["LOOM102", "LOOM202"]
+    assert payload["findings"][1]["borrow_site"] == "src/repro/core/cache.py:6"
+    assert len(payload["suppressed"]) == 2
 
 
-def test_update_baseline_conflicts_with_no_baseline(tmp_path):
-    env = dict(os.environ, PYTHONPATH=_REPO_ROOT)
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tools.loomlint",
-            "--update-baseline",
-            "--no-baseline",
-        ],
-        cwd=str(tmp_path),
-        env=env,
-        capture_output=True,
-        text=True,
+def test_renamed_reader_root_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A root that no longer resolves must not silently leave LOOM101."""
+    project = project_copy(tmp_path)
+    rewrite(
+        project / "src" / "repro" / "core" / "record_log.py",
+        "def read_record(",
+        "def fetch_record(",
     )
+    proc = loomlint_cli(monkeypatch, capsys, project, "src/")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "READER_ROOTS: repro.core.record_log.RecordLog.read_record" in proc.stderr
+
+
+def test_renamed_configured_class_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Typed-attribute classes and the LOOM109/110 qualnames resolve too."""
+    project = project_copy(tmp_path)
+    rewrite(
+        project / "src" / "repro" / "core" / "archive.py",
+        "class ChunkMigrator",
+        "class Migrator",
+    )
+    rewrite(
+        project / "tools" / "loomsan" / "schedule.py",
+        "class FuzzSchedule",
+        "class Schedule",
+    )
+    proc = loomlint_cli(monkeypatch, capsys, project, "src/")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "ATTR_TYPES: class ChunkMigrator" in proc.stderr
+    assert "FUZZ_SCHEDULE_QUALNAME: tools.loomsan.schedule.FuzzSchedule" in proc.stderr
+
+
+def test_subtree_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """loomlint analyses the project: a path list that leaves configured
+    names out (here, everything but one package) cannot run the rules."""
+    project = project_copy(tmp_path)
+    proc = loomlint_cli(monkeypatch, capsys, project, "src/repro/scope")
     assert proc.returncode == 2
-    assert "mutually exclusive" in proc.stderr
+    assert "READER_ROOTS" in proc.stderr
 
 
 def test_list_rules_covers_registry(tmp_path):
-    env = dict(os.environ, PYTHONPATH=_REPO_ROOT)
     proc = subprocess.run(
         [sys.executable, "-m", "tools.loomlint", "--list-rules"],
         cwd=str(tmp_path),
-        env=env,
+        env=dict(os.environ, PYTHONPATH=_REPO_ROOT),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert len(RULES) == 24
     for code in RULES:
         assert code in proc.stdout

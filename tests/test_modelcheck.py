@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import pytest
 
-from repro.core.modelcheck import (
+from tools.loommc.modelcheck import (
     CheckResult,
     Counterexample,
     Invariant,

@@ -21,15 +21,15 @@ from hypothesis import strategies as st
 from repro.core import HistogramSpec, LoomConfig, VirtualClock
 from repro.core.block import Block
 from repro.core.record_log import RecordLog
-from repro.core import sanitizer
-from repro.core.sanitizer import (
+from tools.loomsan import sanitizer
+from tools.loomsan.sanitizer import (
     RaceDetector,
     SanitizerError,
     ShadowRecord,
     shadow_of,
     verify_log,
 )
-from repro.core.schedule import (
+from tools.loomsan.schedule import (
     FuzzSchedule,
     InterleavingExplorer,
     ScheduleFuzzer,

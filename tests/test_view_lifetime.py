@@ -1,4 +1,4 @@
-"""Runtime view-lifetime validation (the loomflow runtime twin).
+"""Runtime view-lifetime validation (the runtime twin of LOOM201-208).
 
 Under the guard (``LOOMSAN=1``, or the fixture below), every zero-copy
 view handed out by the storage tier is tracked in a ledger; storage

@@ -1,64 +1,59 @@
-"""CLI entry point: ``python -m tools.loomlint [paths...]`` (or ``loomlint``).
+"""CLI entry point: ``python -m tools.loomlint`` (or ``loomlint``).
+
+Usage, from the repository root::
+
+    loomlint [paths...]        # run LOOM101-116 and LOOM201-208 (default: src/)
+    loomlint mutants           # self-test: seeded view escapes must be caught
+    loomlint --list-rules
 
 Exit status (stable, scripts may rely on it):
 
-* ``0`` — clean: every violation was suppressed or baselined, or
-  ``--update-baseline`` rewrote the baseline successfully.
-* ``1`` — new (un-baselined, un-suppressed) violations exist.
-* ``2`` — usage error: unknown paths, bad flag combinations.
+* ``0`` — clean: every finding carries an inline suppression; for
+  ``mutants``, every seeded escape was caught at its expected location.
+* ``1`` — unsuppressed findings exist (or a mutant escaped).
+* ``2`` — usage error: unknown paths, an unparsable file, or a name in
+  ``tools/loomlint/config.py`` that the analyzed tree does not define.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
 
 from .config import RULES
-from .linter import run, save_baseline
-
-_DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "baseline.json")
+from .linter import ConfigError, run
+from .mutants import run_mutants
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="loomlint",
-        description="Loom concurrency-invariant linter (AST rules LOOM101-110).",
+        description=(
+            "Loom static analysis: concurrency invariants (LOOM101-116) "
+            "and zero-copy view lifetimes (LOOM201-208)."
+        ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src/"],
-        help="files or directories to lint (default: src/)",
+        help="files or directories to lint (default: src/), or the verb "
+        "`mutants` to run the seeded-escape self-test",
     )
-    parser.add_argument(
-        "--baseline",
-        default=_DEFAULT_BASELINE,
-        help="baseline JSON of accepted pre-existing violations",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file; report every violation",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline file to accept every current violation "
-            "(suppressed lines stay suppressed, not baselined) and exit 0"
-        ),
-    )
+    parser.add_argument("--out", help="write findings as JSON to this path")
     parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule registry and exit",
     )
     parser.add_argument(
+        "-v",
         "--verbose",
         action="store_true",
-        help="also show suppressed and baselined violations",
+        help="also show suppressed findings (mutants: show each catch)",
     )
     args = parser.parse_args(argv)
 
@@ -68,51 +63,40 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"    {description}")
         return 0
 
-    if args.update_baseline and args.no_baseline:
-        print(
-            "loomlint: --update-baseline and --no-baseline are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
+    try:
+        if args.paths == ["mutants"]:
+            return run_mutants(os.getcwd(), verbose=args.verbose)
+        missing = [p for p in args.paths if not os.path.exists(p)]
+        if missing:
+            print(f"loomlint: no such path(s): {', '.join(missing)}", file=sys.stderr)
+            return 2
+        result = run(args.paths)
+    except (ConfigError, OSError, SyntaxError) as exc:
+        print(f"loomlint: {exc}", file=sys.stderr)
         return 2
 
-    missing = [p for p in args.paths if not os.path.exists(p)]
-    if missing:
-        print(f"loomlint: no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        # Lint without the old baseline so accepted-but-fixed entries
-        # drop out instead of accumulating forever.
-        result = run(args.paths, root=os.getcwd(), baseline_path=None)
-        count = save_baseline(args.baseline, result.violations)
-        print(
-            f"loomlint: baseline updated with {count} entr"
-            f"{'y' if count == 1 else 'ies'} -> {args.baseline}"
-        )
-        return 0
-
-    baseline_path = None if args.no_baseline else args.baseline
-    result = run(args.paths, root=os.getcwd(), baseline_path=baseline_path)
-
-    for violation in result.violations:
-        print(violation.render())
+    for finding in result.findings:
+        print(finding.render())
     if args.verbose:
-        for violation in result.baselined:
-            print(f"[baselined] {violation.render()}")
-        for violation in result.suppressed:
-            print(f"[suppressed] {violation.render()}")
+        for finding in result.suppressed:
+            print(f"[suppressed] {finding.render()}")
+    if args.out:
+        payload = {
+            "findings": [f.to_json() for f in result.findings],
+            "suppressed": [f.to_json() for f in result.suppressed],
+        }
+        with open(args.out, "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=2)
+            f.write("\n")
 
-    n = len(result.violations)
-    if n:
+    if result.findings:
         print(
-            f"loomlint: {n} violation(s) "
-            f"({len(result.baselined)} baselined, {len(result.suppressed)} suppressed)",
+            f"loomlint: {len(result.findings)} finding(s) "
+            f"({len(result.suppressed)} suppressed)",
             file=sys.stderr,
         )
         return 1
-    summary = f"loomlint: clean ({len(result.baselined)} baselined, {len(result.suppressed)} suppressed)"
-    print(summary)
+    print(f"loomlint: clean ({len(result.suppressed)} suppressed)")
     return 0
 
 

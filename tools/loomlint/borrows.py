@@ -1,23 +1,20 @@
-"""loomflow: interprocedural view-lifetime (escape) analysis for Loom.
+"""LOOM201-208: interprocedural view-lifetime (escape) analysis.
 
 The zero-copy read tier hands out ``memoryview``s into storage that is
-concurrently remapped, recycled, and truncated.  This engine proves, over
-the plain AST, that no borrowed view outlives its validity window.  It is
-the static half of a pair: :mod:`repro.core.viewguard` is the runtime twin
-that poisons outstanding views under ``LOOMSAN=1``.
+concurrently remapped, recycled, and truncated.  These rules prove, over
+the plain AST, that no borrowed view outlives its validity window.  They
+are the static half of a pair: :mod:`repro.core.viewguard` is the runtime
+twin that poisons outstanding views under ``LOOMSAN=1``.
 
-The analysis has three passes:
+Two passes over the shared :class:`~tools.loomlint.index.ProjectIndex`:
 
-1. **Index** every file (mirroring loomlint's project index): functions,
-   classes, per-line suppressions (``# loomflow: disable=...``) and borrow
-   contracts (``# loomflow: borrows=<lifetime>``).
-2. **Summaries** (the interprocedural pass): for each function, compute to
+1. **Summaries** (the interprocedural pass): for each function, compute to
    a fixpoint whether it can *return a borrow* (a view minted by a source
    inside it or by a callee) and which of its parameters flow to its
-   return value (*passthrough*), plus whether it takes a ``copy=``
-   parameter and that parameter's default.  Call sites consult summaries,
-   so a borrow minted three calls deep still taints the caller.
-3. **Rules**: re-walk each function with an intraprocedural taint
+   return value (*passthrough*), plus whether its ``copy=`` parameter
+   defaults to copying.  Call sites consult summaries, so a borrow minted
+   three calls deep still taints the caller.
+2. **Rules**: re-walk each function with an intraprocedural taint
    environment (names -> borrow records, each carrying its borrow site)
    and report LOOM201-208 findings.  Every finding names the borrow site
    (``file:line``) where the view was minted, not just where it escaped.
@@ -34,11 +31,8 @@ they do not own.
 from __future__ import annotations
 
 import ast
-import json
-import os
-import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import (
     BRACKET_EXCEPTIONS,
@@ -53,50 +47,17 @@ from .config import (
     HANDOFF_CONSTRUCTORS,
     HANDOFF_METHODS,
     PUBLIC_EXEMPT_PREFIX,
-    RULES,
     TAINT_PRESERVING_METHODS,
     VIEW_SOURCE_METHODS,
 )
-
-_SLUG_TO_CODE = {slug: code for code, (slug, _) in RULES.items()}
-_SUPPRESS_RE = re.compile(r"#\s*loomflow:\s*disable=([A-Za-z0-9_,\-]+)")
-_CONTRACT_RE = re.compile(r"#\s*loomflow:\s*borrows=([A-Za-z0-9_\-]+)")
-
-
-# ----------------------------------------------------------------------
-# Data model
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Finding:
-    """One rule finding at a source location, with its borrow site."""
-
-    path: str  # repo-relative, forward slashes
-    line: int
-    rule: str  # e.g. "LOOM203"
-    symbol: str  # qualname of the function/module blamed
-    message: str
-    borrow_site: str  # "path:line" where the view was minted
-
-    def render(self) -> str:
-        slug = RULES[self.rule][0]
-        return (
-            f"{self.path}:{self.line}: {self.rule} [{slug}] {self.message} "
-            f"(view borrowed at {self.borrow_site})"
-        )
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.symbol)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "slug": RULES[self.rule][0],
-            "symbol": self.symbol,
-            "message": self.message,
-            "borrow_site": self.borrow_site,
-        }
+from .index import (
+    Finding,
+    FunctionInfo,
+    FunctionNode,
+    ProjectIndex,
+    caught_names,
+    terminal_name,
+)
 
 
 @dataclass(frozen=True)
@@ -115,304 +76,51 @@ class Borrow:
 
 
 @dataclass
-class Contract:
-    """A ``# loomflow: borrows=<lifetime>`` annotation on a def."""
+class _Summary:
+    """What a call site needs to know about its callee."""
 
-    lifetime: str
-    line: int
-    valid: bool
-
-
-@dataclass
-class FunctionInfo:
-    qualname: str  # module.Class.name or module.name
-    module: str
-    class_name: Optional[str]
-    name: str
-    node: ast.AST  # FunctionDef | AsyncFunctionDef
-    path: str
-    is_async: bool
-    #: Parameter names in order (positional + kwonly), excluding self/cls.
-    params: List[str] = field(default_factory=list)
-    #: The def's contract annotation, if any.
-    contract: Optional[Contract] = None
-    #: Does the signature have a ``copy`` parameter, and its default.
-    has_copy_param: bool = False
-    copy_default: Optional[bool] = None
-    # -- summary (computed by the fixpoint pass) -----------------------
+    #: The signature has a ``copy`` parameter that defaults to True.
+    copies_by_default: bool
     #: May return/yield a borrow minted inside (or below) this function.
     returns_borrow: bool = False
     #: Parameter names whose taint can flow to the return value.
     passthrough: Set[str] = field(default_factory=set)
 
 
-@dataclass
-class ClassInfo:
-    qualname: str
-    module: str
-    name: str
-    methods: Dict[str, FunctionInfo] = field(default_factory=dict)
+def _summarize(index: ProjectIndex) -> Dict[str, _Summary]:
+    """Iterate summary evaluation to a fixpoint (bounded)."""
+    summaries = {
+        fn.qualname: _Summary(copies_by_default=_copies_by_default(fn.node))
+        for fn in index.functions.values()
+    }
+    for _ in range(12):
+        changed = False
+        for fn in index.functions.values():
+            summary = summaries[fn.qualname]
+            walker = _TaintWalker(index, summaries, fn, summary_only=True)
+            walker.walk()
+            if walker.returns_source_borrow and not summary.returns_borrow:
+                summary.returns_borrow = True
+                changed = True
+            if not walker.returned_params <= summary.passthrough:
+                summary.passthrough |= walker.returned_params
+                changed = True
+        if not changed:
+            break
+    return summaries
 
 
-@dataclass
-class SourceFile:
-    path: str
-    module: str
-    tree: ast.Module
-    lines: List[str]
-    #: lineno -> rule codes suppressed on that line.
-    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-    #: lineno -> contract found on that line.
-    contracts: Dict[int, Contract] = field(default_factory=dict)
-
-
-class ProjectIndex:
-    """Parsed files plus function/class indexes and summaries."""
-
-    def __init__(self) -> None:
-        self.files: List[SourceFile] = []
-        self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
-        self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
-        self.class_names: Set[str] = set()
-
-    @classmethod
-    def build(
-        cls,
-        paths: Sequence[str],
-        root: str,
-        overrides: Optional[Dict[str, str]] = None,
-    ) -> "ProjectIndex":
-        """Index ``paths``; ``overrides`` maps repo-relative paths to
-        replacement source text (the mutant self-test hook)."""
-        index = cls()
-        for file_path in _iter_python_files(paths):
-            index._add_file(file_path, root, overrides or {})
-        index._summarize()
-        return index
-
-    # -- construction --------------------------------------------------
-    def _add_file(
-        self, file_path: str, root: str, overrides: Dict[str, str]
-    ) -> None:
-        rel = os.path.relpath(os.path.abspath(file_path), root).replace(
-            os.sep, "/"
-        )
-        if rel in overrides:
-            source = overrides[rel]
-        else:
-            with open(file_path, "r", encoding="utf-8") as f:
-                source = f.read()
-        tree = ast.parse(source, filename=rel)
-        sf = SourceFile(
-            path=rel,
-            module=_module_name(file_path),
-            tree=tree,
-            lines=source.splitlines(),
-        )
-        _collect_line_comments(sf)
-        self.files.append(sf)
-        for node in sf.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(sf, node, class_name=None)
-            elif isinstance(node, ast.ClassDef):
-                info = ClassInfo(
-                    qualname=f"{sf.module}.{node.name}",
-                    module=sf.module,
-                    name=node.name,
-                )
-                self.classes[info.qualname] = info
-                self.class_names.add(node.name)
-                for item in node.body:
-                    if isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        fn = self._add_function(sf, item, class_name=node.name)
-                        info.methods[item.name] = fn
-
-    def _add_function(
-        self,
-        sf: SourceFile,
-        node: "ast.FunctionDef | ast.AsyncFunctionDef",
-        class_name: Optional[str],
-    ) -> FunctionInfo:
-        qual = (
-            f"{sf.module}.{class_name}.{node.name}"
-            if class_name
-            else f"{sf.module}.{node.name}"
-        )
-        params: List[str] = []
-        all_args = list(node.args.posonlyargs) + list(node.args.args) + list(
-            node.args.kwonlyargs
-        )
-        for a in all_args:
-            if a.arg in ("self", "cls"):
-                continue
-            params.append(a.arg)
-        has_copy = any(a.arg == COPY_KEYWORD for a in all_args)
-        copy_default = _copy_default(node) if has_copy else None
-        contract = _contract_for_def(sf, node)
-        info = FunctionInfo(
-            qualname=qual,
-            module=sf.module,
-            class_name=class_name,
-            name=node.name,
-            node=node,
-            path=sf.path,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
-            params=params,
-            contract=contract,
-            has_copy_param=has_copy,
-            copy_default=copy_default,
-        )
-        self.functions[qual] = info
-        self.functions_by_name.setdefault(node.name, []).append(info)
-        return info
-
-    # -- interprocedural summaries -------------------------------------
-    def _summarize(self) -> None:
-        """Iterate summary evaluation to a fixpoint (bounded)."""
-        for _ in range(12):
-            changed = False
-            for fn in self.functions.values():
-                walker = _TaintWalker(self, fn, None, summary_only=True)
-                walker.walk()
-                if walker.returns_source_borrow and not fn.returns_borrow:
-                    fn.returns_borrow = True
-                    changed = True
-                new_pass = walker.returned_params - fn.passthrough
-                if new_pass:
-                    fn.passthrough |= new_pass
-                    changed = True
-            if not changed:
-                break
-
-    # -- call resolution ------------------------------------------------
-    def resolve_call(
-        self, call: ast.Call, caller: FunctionInfo
-    ) -> Optional[FunctionInfo]:
-        """Best-effort callee resolution (loomlint's approach, simplified):
-        same-module names, ``self.method()`` in the enclosing class, and
-        otherwise a project-unique bare name."""
-        func = call.func
-        name: Optional[str] = None
-        if isinstance(func, ast.Name):
-            name = func.id
-            same_module = self.functions.get(f"{caller.module}.{name}")
-            if same_module is not None:
-                return same_module
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-            if (
-                isinstance(func.value, ast.Name)
-                and func.value.id == "self"
-                and caller.class_name is not None
-            ):
-                own = self.functions.get(
-                    f"{caller.module}.{caller.class_name}.{name}"
-                )
-                if own is not None:
-                    return own
-        if name is None:
-            return None
-        candidates = self.functions_by_name.get(name, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-
-# ----------------------------------------------------------------------
-# Helpers
-# ----------------------------------------------------------------------
-def _iter_python_files(paths: Sequence[str]) -> Iterator[str]:
-    for path in paths:
-        if os.path.isfile(path) and path.endswith(".py"):
-            yield path
-        elif os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = [
-                    d for d in dirnames if d not in ("__pycache__", ".git")
-                ]
-                for fname in sorted(filenames):
-                    if fname.endswith(".py"):
-                        yield os.path.join(dirpath, fname)
-
-
-def _module_name(file_path: str) -> str:
-    parts = os.path.normpath(os.path.abspath(file_path)).split(os.sep)
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    name = ".".join(parts)
-    for suffix in (".py",):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-    if name.endswith(".__init__"):
-        name = name[: -len(".__init__")]
-    return name
-
-
-def _collect_line_comments(sf: SourceFile) -> None:
-    for lineno, line in enumerate(sf.lines, start=1):
-        m = _SUPPRESS_RE.search(line)
-        if m:
-            codes: Set[str] = set()
-            for token in m.group(1).split(","):
-                token = token.strip()
-                codes.add(_SLUG_TO_CODE.get(token, token))
-            sf.suppressions[lineno] = codes
-        c = _CONTRACT_RE.search(line)
-        if c:
-            token = c.group(1).strip()
-            sf.contracts[lineno] = Contract(
-                lifetime=token,
-                line=lineno,
-                valid=token in CONTRACT_LIFETIMES,
-            )
-
-
-def _contract_for_def(
-    sf: SourceFile, node: "ast.FunctionDef | ast.AsyncFunctionDef"
-) -> Optional[Contract]:
-    """A contract on the def line, a decorator line, or just above."""
-    first = min(
-        [node.lineno] + [d.lineno for d in node.decorator_list]
-    )
-    last = getattr(node, "body", None)
-    body_start = last[0].lineno if last else node.lineno
-    for lineno in range(max(1, first - 1), body_start + 1):
-        contract = sf.contracts.get(lineno)
-        if contract is not None:
-            return contract
-    return None
-
-
-def _copy_default(
-    node: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> Optional[bool]:
+def _copies_by_default(node: FunctionNode) -> bool:
+    """Does the signature have a ``copy`` parameter defaulting to True?"""
     args = node.args
-    pos = list(args.posonlyargs) + list(args.args)
-    defaults = list(args.defaults)
-    # Align defaults to the tail of positional args.
-    for arg, default in zip(pos[len(pos) - len(defaults) :], defaults):
-        if arg.arg == COPY_KEYWORD and isinstance(default, ast.Constant):
-            if isinstance(default.value, bool):
-                return default.value
-    for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-        if (
-            arg.arg == COPY_KEYWORD
-            and isinstance(kw_default, ast.Constant)
-            and isinstance(kw_default.value, bool)
-        ):
-            return kw_default.value
-    return None
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
+    positional = [*args.posonlyargs, *args.args]
+    unset: List[Optional[ast.expr]] = [None] * (len(positional) - len(args.defaults))
+    for arg, default in zip(
+        [*positional, *args.kwonlyargs], [*unset, *args.defaults, *args.kw_defaults]
+    ):
+        if arg.arg == COPY_KEYWORD:
+            return isinstance(default, ast.Constant) and default.value is True
+    return False
 
 
 def _contains_await(node: ast.AST) -> bool:
@@ -438,13 +146,13 @@ class _TaintWalker:
     def __init__(
         self,
         index: ProjectIndex,
+        summaries: Dict[str, _Summary],
         fn: FunctionInfo,
-        sf: Optional[SourceFile],
         summary_only: bool,
     ) -> None:
         self.index = index
+        self.summaries = summaries
         self.fn = fn
-        self.sf = sf
         self.summary_only = summary_only
         self.env: Dict[str, Borrow] = {}
         self.findings: List[Finding] = []
@@ -468,8 +176,7 @@ class _TaintWalker:
 
     # -- entry ----------------------------------------------------------
     def walk(self) -> None:
-        body = getattr(self.fn.node, "body", [])
-        self._walk_body(body)
+        self._walk_body(self.fn.node.body)
 
     def _walk_body(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
@@ -479,7 +186,7 @@ class _TaintWalker:
     def _report(
         self, rule: str, line: int, message: str, borrow: Borrow
     ) -> None:
-        if self.summary_only or self.sf is None:
+        if self.summary_only:
             return
         if borrow.kind != "source":
             return
@@ -575,8 +282,7 @@ class _TaintWalker:
 
     def _walk_try(self, stmt: ast.Try) -> None:
         is_bracket = any(
-            _handler_catches(handler, BRACKET_EXCEPTIONS)
-            for handler in stmt.handlers
+            caught_names(handler) & BRACKET_EXCEPTIONS for handler in stmt.handlers
         )
         before = dict(self.env)
         self._walk_body(stmt.body)
@@ -830,7 +536,7 @@ class _TaintWalker:
 
     # -- calls ------------------------------------------------------------
     def _eval_call(self, call: ast.Call) -> Optional[Borrow]:
-        name = _call_name(call)
+        name = terminal_name(call.func)
         arg_borrows = [self._eval(a) for a in call.args]
         kw_borrows = [
             self._eval(kw.value) for kw in call.keywords if kw.value is not None
@@ -938,17 +644,18 @@ class _TaintWalker:
         # Interprocedural: consult the callee's summary.
         callee = self.index.resolve_call(call, self.fn)
         if callee is not None:
-            if callee.has_copy_param and callee.copy_default is True:
+            summary = self.summaries[callee.qualname]
+            if summary.copies_by_default:
                 # No copy= at this call site and the callee defaults to
                 # copying: owned bytes.
                 return None
-            if callee.returns_borrow:
+            if summary.returns_borrow:
                 return self._mint(
                     call, f"{callee.name}(...) returns a borrow"
                 )
-            if callee.passthrough:
+            if summary.passthrough:
                 passed = self._args_for_params(call, callee)
-                for param in callee.passthrough:
+                for param in summary.passthrough:
                     borrow = passed.get(param)
                     if borrow is not None and borrow.kind == "source":
                         return borrow
@@ -958,7 +665,7 @@ class _TaintWalker:
         # the object carries the borrow (e.g. Record(payload=view)).
         if (
             name is not None
-            and name in self.index.class_names
+            and name in self.index.classes_by_name
             and tainted_arg is not None
         ):
             return tainted_arg
@@ -977,37 +684,13 @@ class _TaintWalker:
     ) -> Dict[str, Optional[Borrow]]:
         """Map callee parameter names to the borrows of the call's args."""
         mapping: Dict[str, Optional[Borrow]] = {}
-        is_method = (
-            isinstance(call.func, ast.Attribute)
-            and callee.class_name is not None
-        )
         params = callee.params
-        positional = call.args
-        for i, arg in enumerate(positional):
-            if i < len(params):
-                mapping[params[i]] = self._eval(arg)
+        for param, arg in zip(params, call.args):
+            mapping[param] = self._eval(arg)
         for kw in call.keywords:
             if kw.arg is not None and kw.arg in params:
                 mapping[kw.arg] = self._eval(kw.value)
-        del is_method  # receiver mapping is out of scope for the summary
         return mapping
-
-
-def _handler_catches(
-    handler: ast.ExceptHandler, names: "frozenset[str]"
-) -> bool:
-    def match(expr: Optional[ast.expr]) -> bool:
-        if expr is None:
-            return False
-        if isinstance(expr, ast.Name):
-            return expr.id in names
-        if isinstance(expr, ast.Attribute):
-            return expr.attr in names
-        if isinstance(expr, ast.Tuple):
-            return any(match(e) for e in expr.elts)
-        return False
-
-    return match(handler.type)
 
 
 def _first_source(borrows: Sequence[Optional[Borrow]]) -> Optional[Borrow]:
@@ -1024,13 +707,16 @@ def _first_source(borrows: Sequence[Optional[Borrow]]) -> Optional[Borrow]:
 # ----------------------------------------------------------------------
 # Contract validation (LOOM208)
 # ----------------------------------------------------------------------
-def _check_contracts(index: ProjectIndex) -> List[Finding]:
+def _check_contracts(
+    index: ProjectIndex, summaries: Dict[str, _Summary]
+) -> List[Finding]:
     findings: List[Finding] = []
     for fn in index.functions.values():
         contract = fn.contract
         if contract is None:
             continue
-        if not contract.valid:
+        summary = summaries[fn.qualname]
+        if contract.lifetime not in CONTRACT_LIFETIMES:
             findings.append(
                 Finding(
                     path=fn.path,
@@ -1045,7 +731,7 @@ def _check_contracts(index: ProjectIndex) -> List[Finding]:
                     borrow_site=f"{fn.path}:{contract.line}",
                 )
             )
-        elif not fn.returns_borrow and not fn.passthrough:
+        elif not summary.returns_borrow and not summary.passthrough:
             findings.append(
                 Finding(
                     path=fn.path,
@@ -1062,70 +748,13 @@ def _check_contracts(index: ProjectIndex) -> List[Finding]:
     return findings
 
 
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
-@dataclass
-class RunResult:
-    findings: List[Finding]
-    baselined: List[Finding]
-    suppressed: List[Finding]
-
-
-def analyze(index: ProjectIndex) -> List[Finding]:
-    """All LOOM201-208 findings over the index (no baseline filtering)."""
+def rule_borrows(index: ProjectIndex) -> List[Finding]:
+    """All LOOM201-208 findings over the index."""
+    summaries = _summarize(index)
     findings: List[Finding] = []
-    files_by_path = {sf.path: sf for sf in index.files}
     for fn in index.functions.values():
-        sf = files_by_path.get(fn.path)
-        walker = _TaintWalker(index, fn, sf, summary_only=False)
+        walker = _TaintWalker(index, summaries, fn, summary_only=False)
         walker.walk()
         findings.extend(walker.findings)
-    findings.extend(_check_contracts(index))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    findings.extend(_check_contracts(index, summaries))
     return findings
-
-
-def run(
-    paths: Sequence[str],
-    root: str,
-    baseline_path: Optional[str] = None,
-    overrides: Optional[Dict[str, str]] = None,
-) -> RunResult:
-    index = ProjectIndex.build(paths, root, overrides=overrides)
-    findings = analyze(index)
-    files_by_path = {sf.path: sf for sf in index.files}
-
-    suppressed: List[Finding] = []
-    active: List[Finding] = []
-    for finding in findings:
-        sf = files_by_path.get(finding.path)
-        codes = sf.suppressions.get(finding.line, set()) if sf else set()
-        if finding.rule in codes:
-            suppressed.append(finding)
-        else:
-            active.append(finding)
-
-    baselined: List[Finding] = []
-    if baseline_path is not None and os.path.exists(baseline_path):
-        with open(baseline_path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        keys = {tuple(entry) for entry in raw.get("accepted", [])}
-        remaining: List[Finding] = []
-        for finding in active:
-            if finding.baseline_key() in keys:
-                baselined.append(finding)
-            else:
-                remaining.append(finding)
-        active = remaining
-    return RunResult(
-        findings=active, baselined=baselined, suppressed=suppressed
-    )
-
-
-def save_baseline(path: str, findings: Sequence[Finding]) -> int:
-    keys = sorted({f.baseline_key() for f in findings})
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"accepted": [list(k) for k in keys]}, f, indent=2)
-        f.write("\n")
-    return len(keys)

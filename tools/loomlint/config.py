@@ -2,16 +2,22 @@
 
 Everything here encodes an invariant stated in the paper (sections cited
 per constant) or a structural fact about this codebase (which attribute
-names hold which classes).  The linter itself (:mod:`tools.loomlint.linter`)
-is generic AST machinery; this module is the part a Loom maintainer edits
-when the architecture grows.
+names hold which classes).  The index and the rule modules are generic AST
+machinery; this module is the part a Loom maintainer edits when the
+architecture or the zero-copy surface grows: reader roots and typed
+attributes for LOOM101-116, and for LOOM201-208 which calls mint borrowed
+views, which launder them into owned bytes, and which hand work (and
+views) to another thread.  Every function or class named here must exist
+in the analyzed tree: a run whose index cannot resolve one is a usage
+error, never a silently smaller check.
 """
 
 from __future__ import annotations
 
 # ----------------------------------------------------------------------
 # Rule registry: code -> (slug, one-line description).
-# Both the code and the slug are accepted in suppression comments:
+# Both the code and the slug are accepted in suppression comments, which
+# are the one way to accept a finding:
 #     # loomlint: disable=LOOM101
 #     # loomlint: disable=reader-blocking
 # ----------------------------------------------------------------------
@@ -61,10 +67,10 @@ RULES = {
     ),
     "LOOM108": (
         "sanitizer-isolation",
-        "production modules (src/repro) must not import the sanitizer "
-        "at module scope unless the import is guarded by the LOOMSAN "
-        "environment check or deferred into a function; the shadow "
-        "model must stay out of unsanitized processes",
+        "production modules (src/repro) must not import anything under "
+        "tools/: the shadow model, the schedule explorer and the model "
+        "checker live beside the CLIs that drive them and reach the "
+        "runtime only through the yieldpoints/viewguard hooks",
     ),
     "LOOM109": (
         "shadow-totality",
@@ -130,6 +136,63 @@ RULES = {
         "turns a malformed frame into an unhandled exception instead of "
         "a protocol error",
     ),
+    "LOOM201": (
+        "bracket-escape",
+        "a borrowed view created inside a SnapshotRetry/seqlock "
+        "validation bracket (a try whose handler catches SnapshotRetry/"
+        "SnapshotConflictError) must not be used after the bracket: "
+        "outside it the seqlock validation no longer vouches for the "
+        "bytes (paper section 5.5)",
+    ),
+    "LOOM202": (
+        "view-stored-on-self",
+        "a borrowed view must not be assigned to self.* (or to an "
+        "attribute of a parameter): object attributes outlive the call, "
+        "the view's validity window does not — storage truncation or a "
+        "block recycle leaves the attribute aliasing recycled bytes",
+    ),
+    "LOOM203": (
+        "view-stored-in-container",
+        "a borrowed view must not be stored into a container that "
+        "outlives the enclosing scope (a module-level cache, a self.* "
+        "container, a parameter): the container keeps the view alive "
+        "past its validity window",
+    ),
+    "LOOM204": (
+        "view-across-await",
+        "in daemon/ async code a borrowed view must not stay live across "
+        "an await: while the coroutine is suspended the ingest path can "
+        "truncate, remap, or recycle the bytes under it",
+    ),
+    "LOOM205": (
+        "view-thread-handoff",
+        "in daemon/ a borrowed view must not be handed to another thread "
+        "or queue (queue.put, executor submit, run_in_executor, Thread "
+        "args): the receiving thread races the writer with no seqlock "
+        "bracket of its own",
+    ),
+    "LOOM206": (
+        "uncontracted-public-borrow",
+        "a public API must not return or yield a borrowed view unless it "
+        "either copies (copy=True path) or carries an explicit "
+        "'# loomflow: borrows=<lifetime>' contract annotation on the def "
+        "line documenting how long the borrow stays valid",
+    ),
+    "LOOM207": (
+        "write-through-borrow",
+        "no writes through a borrowed view (view[i] = ..., slice "
+        "assignment, augmented assignment): log bytes are immutable "
+        "after publication; mutating a view would corrupt the log or — "
+        "after the read-only hardening — raise at runtime",
+    ),
+    "LOOM208": (
+        "borrow-contract",
+        "a '# loomflow: borrows=' contract must use a known lifetime "
+        "token (snapshot, scan, storage, call) and must sit on a "
+        "function the analysis actually sees returning a borrow — a "
+        "stale or malformed contract documents a lifetime that does "
+        "not exist",
+    ),
 }
 
 # ----------------------------------------------------------------------
@@ -150,6 +213,8 @@ READER_ROOTS = (
     "repro.core.record_log.RecordLog.read_record",
     "repro.core.record_log.RecordLog.iter_records_between",
     "repro.core.record_log.RecordLog.active_region_start",
+    "repro.core.record_log.RecordLog.region_columns",
+    "repro.core.record_log.RecordLog._region_buffer",
     "repro.core.chunk_index.ChunkIndex.summaries_in_time_range",
     "repro.core.chunk_index.ChunkIndex.summary_for_chunk",
     "repro.core.chunk_index.ChunkIndex.get",
@@ -253,6 +318,7 @@ PAYLOAD_CALL_NAMES = frozenset(
         "add_records",
         "add_indexed_value",
         "add_indexed_values",
+        "add_indexed_values_array",
     }
 )
 # Receivers through which the payload calls above count as data stores
@@ -295,6 +361,17 @@ NONDETERMINISTIC_CALLS = frozenset(
 NONDETERMINISTIC_MODULES = frozenset({"random", "secrets"})
 CLOCK_EXEMPT_SUFFIXES = ("repro/core/clock.py",)
 CORE_PATH_FRAGMENT = "repro/core/"
+#: The verification engines.  They sit beside the tools that drive them,
+#: outside src/, but stay under the core-scoped rules (LOOM103/104/107/
+#: 110: a recorded schedule or counterexample replays only if the engine
+#: is as deterministic as the code it explores), and LOOM109/LOOM110 read
+#: ShadowLog and FuzzSchedule out of them — so every run indexes these
+#: files, whatever paths it was given.
+ENGINE_PATHS = (
+    "tools/loomsan/sanitizer.py",
+    "tools/loomsan/schedule.py",
+    "tools/loommc/modelcheck.py",
+)
 
 # ----------------------------------------------------------------------
 # LOOM111: metrics-layer paths held to the same clock discipline as core.
@@ -341,12 +418,10 @@ SWALLOWABLE_EXCEPTIONS = frozenset(
 SEQLOCK_STATE_ATTRS = frozenset({"base_address", "filled"})
 
 # ----------------------------------------------------------------------
-# LOOM108: the sanitizer module and the tokens that mark a legitimate
-# environment guard around its import.
+# LOOM108: the runtime package and the tooling package it must not import.
 # ----------------------------------------------------------------------
-SANITIZER_MODULE_NAMES = frozenset({"sanitizer", "repro.core.sanitizer"})
-SANITIZER_SELF_SUFFIX = "repro/core/sanitizer.py"
-ENV_GUARD_TOKENS = ("LOOMSAN", "environ", "getenv")
+RUNTIME_PACKAGE = "repro"
+TOOLS_PACKAGE = "tools"
 
 # ----------------------------------------------------------------------
 # LOOM109: the public ingest/lifecycle surface of RecordLog that the
@@ -369,7 +444,7 @@ SHADOW_SURFACE = (
     "reopen",
 )
 RECORD_LOG_QUALNAME = "repro.core.record_log.RecordLog"
-SHADOW_LOG_QUALNAME = "repro.core.sanitizer.ShadowLog"
+SHADOW_LOG_QUALNAME = "tools.loomsan.sanitizer.ShadowLog"
 
 # ----------------------------------------------------------------------
 # LOOM110: the stable schedule-serialization alphabet.  Yield-point
@@ -379,7 +454,7 @@ SHADOW_LOG_QUALNAME = "repro.core.sanitizer.ShadowLog"
 YIELD_LABEL_PATTERN = r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$"
 YIELD_CALL_NAMES = frozenset({"hit", "note"})
 FUZZ_SCHEDULE_FIELDS = frozenset({"version", "seed", "steps", "trace", "error"})
-FUZZ_SCHEDULE_QUALNAME = "repro.core.schedule.FuzzSchedule"
+FUZZ_SCHEDULE_QUALNAME = "tools.loomsan.schedule.FuzzSchedule"
 
 # ----------------------------------------------------------------------
 # LOOM112-LOOM116: the networked service (repro.daemon).
@@ -465,3 +540,89 @@ CONTRACT_DOCSTRINGS = {
     "repro.core.record_log.RecordLog._publish": ("order",),
     "repro.core.snapshot.Snapshot.capture": ("linearization",),
 }
+
+# ----------------------------------------------------------------------
+# LOOM201-208: view sources — calls whose result is a borrowed view into
+# storage — and the calls that propagate or launder that taint.
+# ----------------------------------------------------------------------
+#: Method names that mint a view no matter the receiver (the names are
+#: unique to the zero-copy tier in this codebase).
+VIEW_SOURCE_METHODS = frozenset(
+    {
+        "read_view",
+        "region_columns",
+        "payload_view",
+        "flush_view",
+    }
+)
+
+#: Attribute names that alias storage/staging buffers: ``memoryview(x)``
+#: over one of these is a borrow even without a source call.
+BUFFER_ATTR_NAMES = frozenset({"_buf", "buffer", "_map"})
+
+#: ``np.frombuffer`` propagates (an ndarray over a borrowed buffer aliases
+#: the same bytes); these call names are treated as pass-through.
+FROMBUFFER_NAMES = frozenset({"frombuffer"})
+
+#: Calls that launder a borrow into owned bytes (the sanitizers).
+COPYING_CALLS = frozenset({"bytes", "bytearray"})
+COPYING_METHODS = frozenset({"tobytes", "copy", "deepcopy", "hex", "tolist"})
+
+#: Calls that keep the taint of their (first) argument: converting a
+#: tainted iterator/sequence to another container keeps the borrows.
+CONTAINER_CALLS = frozenset(
+    {"list", "tuple", "set", "dict", "sorted", "reversed", "iter", "enumerate"}
+)
+
+#: Methods that keep the taint of their receiver (still the same bytes).
+TAINT_PRESERVING_METHODS = frozenset({"cast", "toreadonly"})
+
+#: The ``copy=`` keyword convention: an explicit ``copy=True`` at a call
+#: site launders the result; ``copy=False`` is a borrow; forwarding a
+#: non-literal (``copy=copy``) is conservatively a borrow.
+COPY_KEYWORD = "copy"
+
+# ----------------------------------------------------------------------
+# LOOM201: the seqlock validation bracket.
+# ----------------------------------------------------------------------
+BRACKET_EXCEPTIONS = frozenset({"SnapshotRetry", "SnapshotConflictError"})
+
+# ----------------------------------------------------------------------
+# LOOM204/LOOM205: daemon-only rules.
+# ----------------------------------------------------------------------
+DAEMON_PATH_FRAGMENT = "repro/daemon/"
+
+#: Method names that hand their arguments to another thread or task.
+HANDOFF_METHODS = frozenset(
+    {
+        "put",
+        "put_nowait",
+        "submit",
+        "run_in_executor",
+        "call_soon_threadsafe",
+        "send_nowait",
+        "ensure_future",
+        "create_task",
+    }
+)
+
+#: Constructors whose ``args=``/``kwargs=`` escape to another thread.
+HANDOFF_CONSTRUCTORS = frozenset({"Thread", "Timer", "partial"})
+
+# ----------------------------------------------------------------------
+# LOOM206/LOOM208: borrow contracts.
+# ----------------------------------------------------------------------
+#: Valid lifetime tokens for ``# loomflow: borrows=<token>``:
+#:
+#: * ``snapshot`` — valid while the snapshot that produced it is in scope
+#:   and the log is not truncated under it;
+#: * ``scan``     — valid only for the current iteration step of the scan
+#:   that yielded it;
+#: * ``storage``  — valid for the lifetime of the storage object, until a
+#:   truncate/close invalidates the range;
+#: * ``call``     — valid only until the next mutating call on the object
+#:   that handed it out (e.g. a block's flush view dies at recycle).
+CONTRACT_LIFETIMES = frozenset({"snapshot", "scan", "storage", "call"})
+
+# Dunder and plainly-internal names never need a contract.
+PUBLIC_EXEMPT_PREFIX = "_"

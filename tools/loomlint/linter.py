@@ -1,1613 +1,107 @@
-"""loomlint: AST lint rules for Loom's concurrency invariants.
+"""loomlint driver: index the tree, resolve the config, run every rule.
 
-Plain-``ast`` implementation, no plugin framework.  The linter parses
-every Python file it is pointed at, builds a project-wide index of
-classes and functions, approximates a call graph (good enough for this
-codebase's idioms: ``self.method()``, module functions, and calls through
-well-known component attributes such as ``self.log`` / ``self._storage``
-— see :mod:`tools.loomlint.config`), and then runs six Loom-specific
-rules over it.  Each rule enforces an invariant from the paper; the rule
-docstrings in :data:`tools.loomlint.config.RULES` cite the sections.
-
-The analysis is deliberately conservative and *approximate*: it resolves
-calls by structure and by the typed attribute map, never by whole-program
-type inference.  Anything it cannot resolve it ignores, so false
-positives stay rare; the cost is that exotic indirection (callables in
-dicts, dynamic dispatch through untyped attributes) is invisible to it.
-That trade-off suits an invariant checker that runs on every CI push.
+Plain-``ast`` implementation, no plugin framework: one
+:class:`~tools.loomlint.index.ProjectIndex`, two rule modules over it
+(:mod:`~tools.loomlint.concurrency` for LOOM101-116,
+:mod:`~tools.loomlint.borrows` for LOOM201-208), one
+:class:`~tools.loomlint.index.Finding` type.
 
 Suppression: append ``# loomlint: disable=LOOM101`` (or the rule slug,
 ``# loomlint: disable=reader-blocking``) to the offending line, or to the
-``def`` line to suppress for a whole function.  Pre-existing accepted
-violations live in ``tools/loomlint/baseline.json``.
+``def`` line to suppress for a whole function.  That comment is the only
+way to accept a finding.
 """
 
 from __future__ import annotations
 
-import ast
-import json
 import os
-import re
-from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
+from . import borrows, concurrency
 from .config import (
-    ASYNC_EXEMPT_FACT_TOKENS,
     ATTR_TYPES,
-    CLIENT_MODULE,
-    CLOCK_EXEMPT_SUFFIXES,
-    CONTRACT_DOCSTRINGS,
-    CORE_PATH_FRAGMENT,
-    DAEMON_MODULE_PREFIX,
-    DEADLINE_PARAM,
-    ENV_GUARD_TOKENS,
-    FLUSH_CRITICAL_MODULES,
-    FRAME_IO_METHODS,
-    FUZZ_SCHEDULE_FIELDS,
+    ENGINE_PATHS,
     FUZZ_SCHEDULE_QUALNAME,
-    GENERIC_METHOD_NAMES,
-    HEADER_CHECKED_MODULES,
-    HEADER_GUARD_EXCEPTIONS,
-    HEADER_RECEIVER_NAMES,
     LOCAL_TYPES,
-    METRICS_PATH_FRAGMENTS,
-    NONDETERMINISTIC_CALLS,
-    NONDETERMINISTIC_MODULES,
-    PAYLOAD_CALL_NAMES,
-    PAYLOAD_RECEIVER_ATTRS,
-    PAYLOAD_STORE_ATTRS,
-    PROTOCOL_MODULE,
-    PUBLISH_CALL_NAMES,
-    PUBLISH_STORE_ATTRS,
     READER_ROOTS,
     RECORD_LOG_QUALNAME,
-    REQUEST_CALL_NAME,
-    RULES,
-    SANITIZER_MODULE_NAMES,
-    SANITIZER_SELF_SUFFIX,
-    SEQLOCK_STATE_ATTRS,
     SHADOW_LOG_QUALNAME,
     SHADOW_SURFACE,
-    SHARD_STATE_ATTRS,
-    SWALLOWABLE_EXCEPTIONS,
-    TIMEOUT_CALL_NAME,
-    TRANSPORT_EXEMPT_SUFFIXES,
-    WIRE_CONSTANT_NAMES,
-    WIRE_STRUCT_FORMATS,
-    YIELD_CALL_NAMES,
-    YIELD_LABEL_PATTERN,
 )
+from .index import Finding, ProjectIndex
 
-_SLUG_TO_CODE = {slug: code for code, (slug, _) in RULES.items()}
-_SUPPRESS_RE = re.compile(r"#\s*loomlint:\s*disable=([A-Za-z0-9_,\-]+)")
+ALL_RULES = (*concurrency.ALL_RULES, borrows.rule_borrows)
 
-#: Direct calls that block or touch durable IO (reader paths must not).
-_BLOCKING_DOTTED = frozenset({"time.sleep", "os.fsync"})
-_BLOCKING_METHODS = frozenset({"acquire", "wait"})
-_QUEUE_METHODS = frozenset({"get", "put", "get_nowait", "put_nowait"})
 
+class ConfigError(Exception):
+    """A name in :mod:`tools.loomlint.config` does not exist in the tree."""
 
-@dataclass(frozen=True)
-class Violation:
-    """One rule violation at a source location."""
 
-    path: str  # repo-relative, forward slashes
-    line: int
-    rule: str  # e.g. "LOOM101"
-    symbol: str  # qualname of the function/module blamed
-    message: str
-
-    def render(self) -> str:
-        slug = RULES[self.rule][0]
-        return f"{self.path}:{self.line}: {self.rule} [{slug}] {self.message}"
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.symbol)
-
-
-@dataclass
-class FunctionInfo:
-    """One function or method definition in the analyzed tree."""
-
-    qualname: str  # module.Class.name or module.name
-    module: str
-    class_name: Optional[str]
-    name: str
-    node: ast.AST  # FunctionDef | AsyncFunctionDef
-    path: str
-    #: (lineno, description) blocking facts found directly in the body.
-    blocking: List[Tuple[int, str]] = field(default_factory=list)
-    #: Resolved callee qualnames.
-    edges: Set[str] = field(default_factory=set)
-
-
-@dataclass
-class ClassInfo:
-    qualname: str
-    module: str
-    name: str
-    base_names: List[str]
-    methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-
-
-@dataclass
-class SourceFile:
-    path: str  # repo-relative
-    module: str
-    tree: ast.Module
-    lines: List[str]
-    #: lineno -> set of suppressed rule codes on that line.
-    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-    #: Codes suppressed for the entire file (header comment).
-    file_suppressions: Set[str] = field(default_factory=set)
-
-
-class ProjectIndex:
-    """Parsed files plus class/function/call-graph indexes."""
-
-    def __init__(self) -> None:
-        self.files: List[SourceFile] = []
-        self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
-        #: simple class name -> ClassInfos (a name may recur across modules)
-        self.classes_by_name: Dict[str, List[ClassInfo]] = {}
-        #: function simple name -> FunctionInfos (for last-resort matching)
-        self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, paths: Sequence[str], root: str) -> "ProjectIndex":
-        index = cls()
-        for file_path in _iter_python_files(paths):
-            index._add_file(file_path, root)
-        index._resolve_edges()
-        return index
-
-    def _add_file(self, file_path: str, root: str) -> None:
-        with open(file_path, "r", encoding="utf-8") as f:
-            source = f.read()
-        rel = os.path.relpath(os.path.abspath(file_path), root).replace(os.sep, "/")
-        tree = ast.parse(source, filename=rel)
-        sf = SourceFile(
-            path=rel,
-            module=_module_name(file_path),
-            tree=tree,
-            lines=source.splitlines(),
-        )
-        _collect_suppressions(sf)
-        self.files.append(sf)
-        self._collect_defs(sf)
-
-    def _collect_defs(self, sf: SourceFile) -> None:
-        for node in sf.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(sf, node, class_name=None)
-            elif isinstance(node, ast.ClassDef):
-                info = ClassInfo(
-                    qualname=f"{sf.module}.{node.name}",
-                    module=sf.module,
-                    name=node.name,
-                    base_names=[_base_name(b) for b in node.bases],
-                )
-                self.classes[info.qualname] = info
-                self.classes_by_name.setdefault(node.name, []).append(info)
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        fn = self._add_function(sf, item, class_name=node.name)
-                        info.methods[item.name] = fn
-
-    def _add_function(
-        self,
-        sf: SourceFile,
-        node: "ast.FunctionDef | ast.AsyncFunctionDef",
-        class_name: Optional[str],
-    ) -> FunctionInfo:
-        if class_name is None:
-            qualname = f"{sf.module}.{node.name}"
-        else:
-            qualname = f"{sf.module}.{class_name}.{node.name}"
-        fn = FunctionInfo(
-            qualname=qualname,
-            module=sf.module,
-            class_name=class_name,
-            name=node.name,
-            node=node,
-            path=sf.path,
-        )
-        self.functions[qualname] = fn
-        self.functions_by_name.setdefault(node.name, []).append(fn)
-        return fn
-
-    # ------------------------------------------------------------------
-    # Call-graph approximation
-    # ------------------------------------------------------------------
-    def _resolve_edges(self) -> None:
-        for fn in self.functions.values():
-            visitor = _CallVisitor(self, fn)
-            visitor.visit(fn.node)
-
-    def subclasses_of(self, class_name: str) -> List[ClassInfo]:
-        """The classes named ``class_name`` plus all project subclasses."""
-        out: List[ClassInfo] = []
-        seen: Set[str] = set()
-        frontier = [class_name]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for info in self.classes_by_name.get(name, ()):
-                out.append(info)
-            for info in self.classes.values():
-                if name in info.base_names and info.name not in seen:
-                    frontier.append(info.name)
-        return out
-
-    def resolve_method(self, class_names: Iterable[str], method: str) -> List[FunctionInfo]:
-        """All definitions ``method`` could dispatch to for these classes."""
-        found: List[FunctionInfo] = []
-        for class_name in class_names:
-            for info in self.subclasses_of(class_name):
-                fn = self._lookup_in_class(info, method)
-                if fn is not None and fn not in found:
-                    found.append(fn)
-        return found
-
-    def _lookup_in_class(
-        self, info: ClassInfo, method: str, depth: int = 0
-    ) -> Optional[FunctionInfo]:
-        if method in info.methods:
-            return info.methods[method]
-        if depth > 8:
-            return None
-        for base in info.base_names:
-            for base_info in self.classes_by_name.get(base, ()):
-                fn = self._lookup_in_class(base_info, method, depth + 1)
-                if fn is not None:
-                    return fn
-        return None
-
-    def function_file(self, fn: FunctionInfo) -> Optional[SourceFile]:
-        for sf in self.files:
-            if sf.path == fn.path:
-                return sf
-        return None
-
-
-class _CallVisitor(ast.NodeVisitor):
-    """Collects blocking facts and resolved call edges for one function."""
-
-    def __init__(self, index: ProjectIndex, fn: FunctionInfo) -> None:
-        self.index = index
-        self.fn = fn
-
-    # Nested defs belong to the enclosing function's behaviour (closures
-    # run on the same thread), so we do NOT skip them.
-
-    def visit_With(self, node: ast.With) -> None:
-        for item in node.items:
-            expr = item.context_expr
-            name = _terminal_name(expr)
-            if name is not None and "lock" in name.lower():
-                self.fn.blocking.append(
-                    (expr.lineno, f"acquires lock `{_render(expr)}`")
-                )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        dotted = _dotted_name(func)
-        if dotted in _BLOCKING_DOTTED:
-            self.fn.blocking.append((node.lineno, f"calls {dotted}()"))
-        elif isinstance(func, ast.Name):
-            if func.id == "open":
-                self.fn.blocking.append((node.lineno, "opens a file"))
-            self._edge_for_name(func.id)
-        elif isinstance(func, ast.Attribute):
-            method = func.attr
-            receiver = _terminal_name(func.value)
-            if method in _BLOCKING_METHODS:
-                self.fn.blocking.append(
-                    (node.lineno, f"calls blocking `{_render(func)}()`")
-                )
-            elif (
-                method in _QUEUE_METHODS
-                and receiver is not None
-                and "queue" in receiver.lower()
-            ):
-                self.fn.blocking.append(
-                    (node.lineno, f"blocking queue op `{_render(func)}()`")
-                )
-            self._edge_for_attribute(func, receiver)
-        self.generic_visit(node)
-
-    # -- edge resolution ------------------------------------------------
-    def _edge_for_name(self, name: str) -> None:
-        qual = f"{self.fn.module}.{name}"
-        if qual in self.index.functions:
-            self.fn.edges.add(qual)
-            return
-        # Constructor call of a project class: edge to its __init__.
-        for info in self.index.classes_by_name.get(name, ()):
-            init = info.methods.get("__init__")
-            if init is not None:
-                self.fn.edges.add(init.qualname)
-
-    def _edge_for_attribute(self, func: ast.Attribute, receiver: Optional[str]) -> None:
-        method = func.attr
-        targets: List[FunctionInfo] = []
-        if receiver in ("self", "cls") and self.fn.class_name is not None:
-            targets = self.index.resolve_method([self.fn.class_name], method)
-        elif receiver is not None:
-            types = LOCAL_TYPES.get(receiver) or ATTR_TYPES.get(receiver)
-            if types:
-                targets = self.index.resolve_method(types, method)
-            elif method not in GENERIC_METHOD_NAMES:
-                # Last resort: unique-name match across the project.
-                targets = [
-                    fn
-                    for fn in self.index.functions_by_name.get(method, ())
-                    if fn.class_name is not None or fn.module == self.fn.module
-                ]
-        for target in targets:
-            self.fn.edges.add(target.qualname)
-
-
-# ----------------------------------------------------------------------
-# AST helpers
-# ----------------------------------------------------------------------
-def _iter_python_files(paths: Sequence[str]) -> Iterator[str]:
-    for path in paths:
-        if os.path.isfile(path) and path.endswith(".py"):
-            yield path
-        elif os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames if d not in ("__pycache__", ".git")
-                )
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        yield os.path.join(dirpath, filename)
-
-
-def _module_name(file_path: str) -> str:
-    """Dotted module name, derived by walking up through __init__.py dirs."""
-    abs_path = os.path.abspath(file_path)
-    parts = [os.path.splitext(os.path.basename(abs_path))[0]]
-    directory = os.path.dirname(abs_path)
-    while os.path.isfile(os.path.join(directory, "__init__.py")):
-        parts.append(os.path.basename(directory))
-        directory = os.path.dirname(directory)
-    if parts[0] == "__init__":
-        parts = parts[1:]
-    return ".".join(reversed(parts))
-
-
-def _base_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
-
-
-def _terminal_name(node: ast.expr) -> Optional[str]:
-    """The rightmost identifier of a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _dotted_name(node: ast.expr) -> Optional[str]:
-    """`a.b.c` -> "a.b.c" for pure Name/Attribute chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _render(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse of exotic nodes
-        return "<expr>"
-
-
-def _collect_suppressions(sf: SourceFile) -> None:
-    for i, line in enumerate(sf.lines, start=1):
-        match = _SUPPRESS_RE.search(line)
-        if not match:
-            continue
-        codes: Set[str] = set()
-        for token in match.group(1).split(","):
-            token = token.strip()
-            code = _SLUG_TO_CODE.get(token, token.upper())
-            if code in RULES:
-                codes.add(code)
-        if not codes:
-            continue
-        stripped = line.strip()
-        if stripped.startswith("#") and i <= 5:
-            sf.file_suppressions |= codes
-        sf.suppressions.setdefault(i, set()).update(codes)
-
-
-def _function_body_linenos(fn: FunctionInfo) -> Tuple[int, int]:
-    node = fn.node
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    end = getattr(node, "end_lineno", node.lineno) or node.lineno
-    return node.lineno, end
-
-
-# ----------------------------------------------------------------------
-# Rules
-# ----------------------------------------------------------------------
-def _match_roots(index: ProjectIndex) -> List[FunctionInfo]:
-    roots: List[FunctionInfo] = []
-    for pattern in READER_ROOTS:
-        if pattern.endswith(".*"):
-            prefix = pattern[:-1]  # keep the trailing dot
-            for qualname, fn in index.functions.items():
-                if qualname.startswith(prefix) and fn not in roots:
-                    roots.append(fn)
-        else:
-            fn = index.functions.get(pattern)
-            if fn is not None and fn not in roots:
-                roots.append(fn)
-    return roots
-
-
-def rule_reader_blocking(index: ProjectIndex) -> List[Violation]:
-    """LOOM101: no blocking primitive reachable from reader roots."""
-    violations: List[Violation] = []
-    roots = _match_roots(index)
-    parent: Dict[str, Optional[str]] = {}
-    frontier: List[str] = []
-    for root in roots:
-        if root.qualname not in parent:
-            parent[root.qualname] = None
-            frontier.append(root.qualname)
-    while frontier:
-        qualname = frontier.pop()
-        fn = index.functions.get(qualname)
-        if fn is None:
-            continue
-        for callee in sorted(fn.edges):
-            if callee not in parent:
-                parent[callee] = qualname
-                frontier.append(callee)
-    for qualname in sorted(parent):
-        fn = index.functions.get(qualname)
-        if fn is None or not fn.blocking:
-            continue
-        chain: List[str] = []
-        cursor: Optional[str] = qualname
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = parent[cursor]
-        chain.reverse()
-        via = " <- reachable via ".join([chain[0]] if len(chain) == 1 else [chain[-1], chain[0]])
-        for lineno, description in fn.blocking:
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=lineno,
-                    rule="LOOM101",
-                    symbol=fn.qualname,
-                    message=(
-                        f"{description} on a reader path ({via}); readers "
-                        f"must stay lock-free (paper sections 4.4-4.5)"
-                    ),
-                )
-            )
-    return violations
-
-
-def rule_version_parity(index: ProjectIndex) -> List[Violation]:
-    """LOOM102: `_version += 1` bumps pair up within each function."""
-    violations: List[Violation] = []
-    for fn in sorted(index.functions.values(), key=lambda f: (f.path, f.qualname)):
-        node = fn.node
-        bumps: List[int] = []
-        assigns: List[int] = []
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.AugAssign)
-                and isinstance(sub.target, ast.Attribute)
-                and sub.target.attr == "_version"
-            ):
-                if isinstance(sub.op, ast.Add) and (
-                    isinstance(sub.value, ast.Constant) and sub.value.value == 1
-                ):
-                    bumps.append(sub.lineno)
-                else:
-                    assigns.append(sub.lineno)
-            elif isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Attribute) and target.attr == "_version":
-                        assigns.append(sub.lineno)
-        if fn.name != "__init__":
-            for lineno in assigns:
-                violations.append(
-                    Violation(
-                        path=fn.path,
-                        line=lineno,
-                        rule="LOOM102",
-                        symbol=fn.qualname,
-                        message=(
-                            "seqlock version must only move via "
-                            "`self._version += 1` (outside __init__); "
-                            "arbitrary stores can skip the odd state"
-                        ),
-                    )
-                )
-        if not bumps:
-            continue
-        if len(bumps) % 2 != 0:
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=bumps[0],
-                    rule="LOOM102",
-                    symbol=fn.qualname,
-                    message=(
-                        f"{len(bumps)} version bump(s) in one function: bumps "
-                        f"must pair up (odd while mutating, back to even) "
-                        f"within the same function"
-                    ),
-                )
-            )
-        first, last = min(bumps), max(bumps)
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Return, ast.Raise)) and first < sub.lineno < last:
-                violations.append(
-                    Violation(
-                        path=fn.path,
-                        line=sub.lineno,
-                        rule="LOOM102",
-                        symbol=fn.qualname,
-                        message=(
-                            "return/raise between version bumps could leave "
-                            "the seqlock odd (mid-recycle) forever"
-                        ),
-                    )
-                )
-    return violations
-
-
-def rule_publish_order(index: ProjectIndex) -> List[Violation]:
-    """LOOM103: payload stores must precede publication in a function."""
-    violations: List[Violation] = []
-    for fn in sorted(index.functions.values(), key=lambda f: (f.path, f.qualname)):
-        if CORE_PATH_FRAGMENT not in fn.path:
-            continue
-        publish_events: List[Tuple[int, str]] = []
-        payload_stores: List[Tuple[int, str]] = []
-        for sub in ast.walk(fn.node):
-            if isinstance(sub, ast.Call):
-                name = _terminal_name(sub.func)
-                if name in PUBLISH_CALL_NAMES:
-                    publish_events.append((sub.lineno, f"{name}()"))
-                elif name in PAYLOAD_CALL_NAMES and isinstance(sub.func, ast.Attribute):
-                    receiver = _terminal_name(sub.func.value)
-                    if receiver in PAYLOAD_RECEIVER_ATTRS:
-                        payload_stores.append((sub.lineno, f"{receiver}.{name}()"))
-            elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    sub.targets
-                    if isinstance(sub, ast.Assign)
-                    else [sub.target]
-                )
-                for target in targets:
-                    if not isinstance(target, ast.Attribute):
-                        continue
-                    if target.attr in PUBLISH_STORE_ATTRS:
-                        publish_events.append((sub.lineno, f"store {target.attr}"))
-                    elif target.attr in PAYLOAD_STORE_ATTRS:
-                        payload_stores.append((sub.lineno, f"store {target.attr}"))
-        if not publish_events or not payload_stores:
-            continue
-        first_publish = min(publish_events)
-        for lineno, description in payload_stores:
-            if lineno > first_publish[0]:
-                violations.append(
-                    Violation(
-                        path=fn.path,
-                        line=lineno,
-                        rule="LOOM103",
-                        symbol=fn.qualname,
-                        message=(
-                            f"payload store {description} after publication "
-                            f"event {first_publish[1]} (line "
-                            f"{first_publish[0]}); section 5.4 requires all "
-                            f"data/index stores before the watermark moves"
-                        ),
-                    )
-                )
-    return violations
-
-
-def rule_nondeterminism(index: ProjectIndex) -> List[Violation]:
-    """LOOM104: wall-clock/randomness banned in core outside clock.py."""
-    violations: List[Violation] = []
-    for sf in index.files:
-        if CORE_PATH_FRAGMENT not in sf.path:
-            continue
-        if any(sf.path.endswith(suffix) for suffix in CLOCK_EXEMPT_SUFFIXES):
-            continue
-        for node in ast.walk(sf.tree):
-            dotted = None
-            if isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-            if dotted is None:
-                continue
-            head = dotted.split(".", 1)[0]
-            if dotted in NONDETERMINISTIC_CALLS or head in NONDETERMINISTIC_MODULES:
-                violations.append(
-                    Violation(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="LOOM104",
-                        symbol=_enclosing_symbol(index, sf, node.lineno),
-                        message=(
-                            f"nondeterministic call `{dotted}` in core; all "
-                            f"time flows through repro.core.clock so replay "
-                            f"and recovery are reproducible (section 5.2)"
-                        ),
-                    )
-                )
-    return violations
-
-
-def rule_metrics_clock(index: ProjectIndex) -> List[Violation]:
-    """LOOM111: metrics-layer code takes time from repro.core.clock only.
-
-    Same mechanics as LOOM104, applied to the loomscope consumer paths
-    (``repro/scope/``): the registry that observes the deterministic data
-    path must not smuggle wall-clock reads back into it.
-    """
-    violations: List[Violation] = []
-    for sf in index.files:
-        if not any(frag in sf.path for frag in METRICS_PATH_FRAGMENTS):
-            continue
-        for node in ast.walk(sf.tree):
-            dotted = None
-            if isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-            if dotted is None:
-                continue
-            head = dotted.split(".", 1)[0]
-            if dotted in NONDETERMINISTIC_CALLS or head in NONDETERMINISTIC_MODULES:
-                violations.append(
-                    Violation(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="LOOM111",
-                        symbol=_enclosing_symbol(index, sf, node.lineno),
-                        message=(
-                            f"nondeterministic call `{dotted}` in the "
-                            f"metrics layer; loomscope timestamps flow "
-                            f"through repro.core.clock so self-observation "
-                            f"replays like the data path it measures"
-                        ),
-                    )
-                )
-    return violations
-
-
-def rule_exception_hygiene(index: ProjectIndex) -> List[Violation]:
-    """LOOM105: no bare except; no swallowed storage errors in flush code."""
-    violations: List[Violation] = []
-    for sf in index.files:
-        critical = sf.module in FLUSH_CRITICAL_MODULES
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            symbol = _enclosing_symbol(index, sf, node.lineno)
-            if node.type is None:
-                violations.append(
-                    Violation(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="LOOM105",
-                        symbol=symbol,
-                        message="bare `except:` hides StorageError and "
-                        "KeyboardInterrupt alike; name the exception",
-                    )
-                )
-                continue
-            if not critical:
-                continue
-            caught = _caught_names(node.type)
-            if not caught & SWALLOWABLE_EXCEPTIONS:
-                continue
-            if _handler_swallows(node):
-                violations.append(
-                    Violation(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="LOOM105",
-                        symbol=symbol,
-                        message=(
-                            f"handler for {'/'.join(sorted(caught))} in "
-                            f"flush/recovery code discards the error; "
-                            f"re-raise it, park it, or record a repair"
-                        ),
-                    )
-                )
-    return violations
-
-
-def _caught_names(node: ast.expr) -> Set[str]:
-    names: Set[str] = set()
-    exprs = node.elts if isinstance(node, ast.Tuple) else [node]
-    for expr in exprs:
-        name = _terminal_name(expr)
-        if name is not None:
-            names.add(name)
-    return names
-
-
-def _handler_swallows(handler: ast.ExceptHandler) -> bool:
-    """True if the handler neither re-raises nor uses the caught error."""
-    for sub in ast.walk(handler):
-        if isinstance(sub, ast.Raise):
-            return False
-        if (
-            handler.name is not None
-            and isinstance(sub, ast.Name)
-            and sub.id == handler.name
-        ):
-            return False
-    return True
-
-
-def rule_contract_docstrings(index: ProjectIndex) -> List[Violation]:
-    """LOOM106: contract functions keep docstrings naming the contract."""
-    violations: List[Violation] = []
-    for qualname, keywords in sorted(CONTRACT_DOCSTRINGS.items()):
-        fn = index.functions.get(qualname)
-        if fn is None:
-            # Only complain if the module itself was analyzed (running
-            # loomlint on a subtree should not demand the whole project).
-            module = qualname.rsplit(".", 2)[0]
-            anchor = next((sf for sf in index.files if sf.module == module), None)
-            if anchor is not None:
-                violations.append(
-                    Violation(
-                        path=anchor.path,
-                        line=1,
-                        rule="LOOM106",
-                        symbol=qualname,
-                        message=(
-                            f"contract function {qualname} is missing; "
-                            f"renaming or deleting it silently drops a "
-                            f"documented seqlock/watermark obligation"
-                        ),
-                    )
-                )
-            continue
-        node = fn.node
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        doc = ast.get_docstring(node) or ""
-        lowered = doc.lower()
-        if not doc or not any(k.lower() in lowered for k in keywords):
-            want = " or ".join(f"'{k}'" for k in keywords)
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=node.lineno,
-                    rule="LOOM106",
-                    symbol=fn.qualname,
-                    message=(
-                        f"docstring must document the concurrency contract "
-                        f"(mention {want}); the docstring is the spec the "
-                        f"schedule explorer and reviewers check against"
-                    ),
-                )
-            )
-    return violations
-
-
-def rule_seqlock_mutation_visibility(index: ProjectIndex) -> List[Violation]:
-    """LOOM107: seqlock-state stores are bracketed or carry a marker."""
-    violations: List[Violation] = []
-    for fn in sorted(index.functions.values(), key=lambda f: (f.path, f.qualname)):
-        if CORE_PATH_FRAGMENT not in fn.path or fn.name == "__init__":
-            continue
-        stores: List[Tuple[int, str]] = []
-        bumps: List[int] = []
-        has_marker = False
-        for sub in ast.walk(fn.node):
-            if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr in SEQLOCK_STATE_ATTRS
-                    ):
-                        stores.append((sub.lineno, target.attr))
-                if (
-                    isinstance(sub, ast.AugAssign)
-                    and isinstance(sub.target, ast.Attribute)
-                    and sub.target.attr == "_version"
-                ):
-                    bumps.append(sub.lineno)
-            elif isinstance(sub, ast.Call):
-                dotted = _dotted_name(sub.func)
-                if dotted is not None and dotted.startswith("yieldpoints."):
-                    if dotted.split(".", 1)[1] in YIELD_CALL_NAMES:
-                        has_marker = True
-        if not stores or has_marker:
-            continue
-        bracket = (min(bumps), max(bumps)) if len(bumps) >= 2 else None
-        for lineno, attr in stores:
-            if bracket is not None and bracket[0] < lineno < bracket[1]:
-                continue
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=lineno,
-                    rule="LOOM107",
-                    symbol=fn.qualname,
-                    message=(
-                        f"store to seqlock-guarded `{attr}` is neither "
-                        f"inside a version bracket nor in a function with "
-                        f"a yield-point marker; the race detector cannot "
-                        f"order a mutation it never observes"
-                    ),
-                )
-            )
-    return violations
-
-
-def rule_sanitizer_isolation(index: ProjectIndex) -> List[Violation]:
-    """LOOM108: production code imports the sanitizer only behind a guard."""
-    violations: List[Violation] = []
-    for sf in index.files:
-        if "src/repro/" not in sf.path and not sf.module.startswith("repro."):
-            continue
-        if sf.path.endswith(SANITIZER_SELF_SUFFIX):
-            continue
-        guarded_spans = _env_guarded_spans(sf.tree)
-        function_spans = [
-            _node_span(node)
-            for node in ast.walk(sf.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for node in ast.walk(sf.tree):
-            target: Optional[str] = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in SANITIZER_MODULE_NAMES:
-                        target = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module in SANITIZER_MODULE_NAMES or module.endswith(
-                    ".sanitizer"
-                ):
-                    target = module
-                elif any(a.name == "sanitizer" for a in node.names):
-                    target = f"{module}.sanitizer" if module else "sanitizer"
-            if target is None:
-                continue
-            line = node.lineno
-            if any(start <= line <= end for start, end in guarded_spans):
-                continue
-            if any(start <= line <= end for start, end in function_spans):
-                continue
-            violations.append(
-                Violation(
-                    path=sf.path,
-                    line=line,
-                    rule="LOOM108",
-                    symbol=sf.module,
-                    message=(
-                        f"module-scope import of `{target}` in production "
-                        f"code without a LOOMSAN environment guard; the "
-                        f"shadow model must not load into unsanitized "
-                        f"processes"
-                    ),
-                )
-            )
-    return violations
-
-
-def _env_guarded_spans(tree: ast.Module) -> List[Tuple[int, int]]:
-    """Line spans of `if` bodies whose test consults the environment."""
-    spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        rendered = _render(node.test)
-        if any(token in rendered for token in ENV_GUARD_TOKENS):
-            spans.append(_node_span(node))
-    return spans
-
-
-def _node_span(node: ast.AST) -> Tuple[int, int]:
-    lineno = getattr(node, "lineno", 1)
-    end = getattr(node, "end_lineno", lineno) or lineno
-    return lineno, end
-
-
-def rule_shadow_totality(index: ProjectIndex) -> List[Violation]:
-    """LOOM109: ShadowLog mirrors exactly the declared ingest surface."""
-    violations: List[Violation] = []
-    record_log = index.classes.get(RECORD_LOG_QUALNAME)
-    shadow = index.classes.get(SHADOW_LOG_QUALNAME)
-    if record_log is None or shadow is None:
-        # Only meaningful when both sides were analyzed; linting a
-        # subtree must not demand the whole project.
-        return violations
-    shadow_sf = next(
-        (sf for sf in index.files if sf.module == shadow.module), None
-    )
-    shadow_path = shadow_sf.path if shadow_sf is not None else "src"
-    for name in SHADOW_SURFACE:
-        if name not in record_log.methods:
-            violations.append(
-                Violation(
-                    path=shadow_path,
-                    line=1,
-                    rule="LOOM109",
-                    symbol=f"{RECORD_LOG_QUALNAME}.{name}",
-                    message=(
-                        f"ingest-surface method RecordLog.{name} is "
-                        f"declared in SHADOW_SURFACE but missing from "
-                        f"RecordLog; prune the surface list or restore "
-                        f"the method"
-                    ),
-                )
-            )
-        if f"on_{name}" not in shadow.methods:
-            violations.append(
-                Violation(
-                    path=shadow_path,
-                    line=1,
-                    rule="LOOM109",
-                    symbol=f"{SHADOW_LOG_QUALNAME}.on_{name}",
-                    message=(
-                        f"shadow model is missing `on_{name}`: the "
-                        f"differential oracles no longer cover "
-                        f"RecordLog.{name}; the shadow API must stay "
-                        f"total over the ingest surface"
-                    ),
-                )
-            )
-    surface = set(SHADOW_SURFACE)
-    for method_name, fn in sorted(shadow.methods.items()):
-        if not method_name.startswith("on_") or method_name == "on_event":
-            continue
-        if method_name[3:] not in surface:
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=fn.node.lineno,
-                    rule="LOOM109",
-                    symbol=fn.qualname,
-                    message=(
-                        f"shadow mirror `{method_name}` has no "
-                        f"corresponding entry in SHADOW_SURFACE; declare "
-                        f"the surface method so the mapping stays total "
-                        f"in both directions"
-                    ),
-                )
-            )
-    return violations
-
-
-_YIELD_LABEL_RE = re.compile(YIELD_LABEL_PATTERN)
-
-
-def rule_stable_schedule_alphabet(index: ProjectIndex) -> List[Violation]:
-    """LOOM110: literal yield labels; FuzzSchedule serializes only its fields."""
-    violations: List[Violation] = []
-    for sf in index.files:
-        if CORE_PATH_FRAGMENT not in sf.path:
-            continue
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted_name(node.func)
-            if dotted is None or not dotted.startswith("yieldpoints."):
-                continue
-            if dotted.split(".", 1)[1] not in YIELD_CALL_NAMES:
-                continue
-            symbol = _enclosing_symbol(index, sf, node.lineno)
-            if not node.args:
-                continue
-            label = node.args[0]
-            if not (isinstance(label, ast.Constant) and isinstance(label.value, str)):
-                violations.append(
-                    Violation(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="LOOM110",
-                        symbol=symbol,
-                        message=(
-                            f"yield-point label `{_render(label)}` is "
-                            f"computed, not a string literal; recorded "
-                            f"schedules can only replay against a stable "
-                            f"label alphabet"
-                        ),
-                    )
-                )
-            elif not _YIELD_LABEL_RE.match(label.value):
-                violations.append(
-                    Violation(
-                        path=sf.path,
-                        line=node.lineno,
-                        rule="LOOM110",
-                        symbol=symbol,
-                        message=(
-                            f"yield-point label {label.value!r} does not "
-                            f"match the dotted-identifier alphabet "
-                            f"({YIELD_LABEL_PATTERN}); keep labels "
-                            f"machine-stable"
-                        ),
-                    )
-                )
-    fuzz = index.classes.get(FUZZ_SCHEDULE_QUALNAME)
-    if fuzz is not None:
-        for method_name in ("to_json", "from_json"):
-            fn = fuzz.methods.get(method_name)
-            if fn is None:
-                continue
-            for sub in ast.walk(fn.node):
-                if not isinstance(sub, ast.Dict):
-                    continue
-                for key in sub.keys:
-                    if key is None:
-                        rendered = "**<dynamic>"
-                    elif isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        if key.value in FUZZ_SCHEDULE_FIELDS:
-                            continue
-                        rendered = repr(key.value)
-                    else:
-                        rendered = _render(key)
-                    violations.append(
-                        Violation(
-                            path=fn.path,
-                            line=sub.lineno,
-                            rule="LOOM110",
-                            symbol=fn.qualname,
-                            message=(
-                                f"FuzzSchedule wire format contains "
-                                f"undeclared key {rendered}; the format "
-                                f"is an API — extend FUZZ_SCHEDULE_FIELDS "
-                                f"and bump FORMAT_VERSION instead"
-                            ),
-                        )
-                    )
-    return violations
-
-
-def _enclosing_symbol(index: ProjectIndex, sf: SourceFile, lineno: int) -> str:
-    best: Optional[FunctionInfo] = None
-    best_start = -1
-    for fn in index.functions.values():
-        if fn.path != sf.path:
-            continue
-        start, end = _function_body_linenos(fn)
-        if start <= lineno <= end and start > best_start:
-            best = fn
-            best_start = start
-    return best.qualname if best is not None else sf.module
-
-
-# ----------------------------------------------------------------------
-# LOOM112-LOOM116: the networked service (repro.daemon)
-# ----------------------------------------------------------------------
-def _in_daemon(module: str) -> bool:
-    return module == DAEMON_MODULE_PREFIX or module.startswith(
-        DAEMON_MODULE_PREFIX + "."
-    )
-
-
-def rule_async_blocking(index: ProjectIndex) -> List[Violation]:
-    """LOOM112: no blocking primitive reachable from asyncio handlers.
-
-    Roots are every ``async def`` in repro.daemon; the closure follows
-    call edges only *within* the daemon (executor-bound work is handed
-    off through ``functools.partial``, which deliberately breaks the
-    edge — that is the sanctioned escape hatch).  Non-blocking queue
-    verbs (puts on the unbounded admission queue, ``*_nowait``) are
-    exempt per :data:`~tools.loomlint.config.ASYNC_EXEMPT_FACT_TOKENS`.
-    """
-    violations: List[Violation] = []
-    parent: Dict[str, Optional[str]] = {}
-    frontier: List[str] = []
-    for qualname, fn in index.functions.items():
-        if isinstance(fn.node, ast.AsyncFunctionDef) and _in_daemon(fn.module):
-            if qualname not in parent:
-                parent[qualname] = None
-                frontier.append(qualname)
-    while frontier:
-        qualname = frontier.pop()
-        fn = index.functions.get(qualname)
-        if fn is None:
-            continue
-        for callee in sorted(fn.edges):
-            callee_fn = index.functions.get(callee)
-            if callee_fn is None or not _in_daemon(callee_fn.module):
-                continue
-            if callee not in parent:
-                parent[callee] = qualname
-                frontier.append(callee)
-    for qualname in sorted(parent):
-        fn = index.functions.get(qualname)
-        if fn is None or not fn.blocking:
-            continue
-        chain: List[str] = []
-        cursor: Optional[str] = qualname
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = parent[cursor]
-        root = chain[-1]
-        via = (
-            qualname
-            if root == qualname
-            else f"{root} -> ... -> {qualname}"
-        )
-        # An *awaited* wait/acquire is cooperative, not blocking: it
-        # parks this coroutine and yields the loop.  Exempt any fact on
-        # a line whose call sits under an ``await``.
-        awaited: Set[int] = set()
-        for sub in ast.walk(fn.node):
-            if isinstance(sub, ast.Await):
-                for inner in ast.walk(sub):
-                    if isinstance(inner, ast.Call):
-                        awaited.add(inner.lineno)
-        for lineno, description in fn.blocking:
-            if lineno in awaited:
-                continue
-            if any(tok in description for tok in ASYNC_EXEMPT_FACT_TOKENS):
-                continue
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=lineno,
-                    rule="LOOM112",
-                    symbol=fn.qualname,
-                    message=(
-                        f"{description} on an asyncio handler path ({via}); "
-                        f"a blocked coroutine freezes every connection — "
-                        f"run it on an executor thread under the deadline"
-                    ),
-                )
-            )
-    return violations
-
-
-def rule_await_shard_state(index: ProjectIndex) -> List[Violation]:
-    """LOOM113: async functions never touch shard worker state."""
-    violations: List[Violation] = []
-    for fn in sorted(
-        index.functions.values(), key=lambda f: (f.path, f.qualname)
-    ):
-        if not isinstance(fn.node, ast.AsyncFunctionDef):
-            continue
-        if not _in_daemon(fn.module):
-            continue
-        for sub in ast.walk(fn.node):
-            if (
-                isinstance(sub, ast.Attribute)
-                and sub.attr in SHARD_STATE_ATTRS
-            ):
-                kind = (
-                    "mutates" if isinstance(sub.ctx, ast.Store) else "reads"
-                )
-                violations.append(
-                    Violation(
-                        path=fn.path,
-                        line=sub.lineno,
-                        rule="LOOM113",
-                        symbol=fn.qualname,
-                        message=(
-                            f"async `{fn.name}` {kind} shard worker state "
-                            f"`.{sub.attr}`; that state is owned by the "
-                            f"synchronous admission path and the worker "
-                            f"thread — an await here interleaves another "
-                            f"connection into the critical section"
-                        ),
-                    )
-                )
-    return violations
-
-
-def rule_deadline_propagation(index: ProjectIndex) -> List[Violation]:
-    """LOOM114: deadlines thread through every client I/O call.
-
-    Two obligations: (a) in the client module, every method that calls
-    ``_request`` (other than ``_request`` itself) declares a
-    ``deadline_s`` parameter and forwards it in the call; (b) anywhere
-    outside the transports, a function doing raw ``send_frame``/
-    ``recv_frame`` I/O also calls ``set_timeout`` — otherwise the socket
-    default (block forever) is the effective deadline.
-    """
-    violations: List[Violation] = []
-    for fn in sorted(
-        index.functions.values(), key=lambda f: (f.path, f.qualname)
-    ):
-        if fn.module == CLIENT_MODULE and fn.name != REQUEST_CALL_NAME:
-            request_calls = [
-                sub
-                for sub in ast.walk(fn.node)
-                if isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == REQUEST_CALL_NAME
-            ]
-            if request_calls:
-                assert isinstance(
-                    fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                )
-                args = fn.node.args
-                param_names = {
-                    a.arg
-                    for a in (
-                        list(args.posonlyargs)
-                        + list(args.args)
-                        + list(args.kwonlyargs)
-                    )
-                }
-                if DEADLINE_PARAM not in param_names:
-                    violations.append(
-                        Violation(
-                            path=fn.path,
-                            line=fn.node.lineno,
-                            rule="LOOM114",
-                            symbol=fn.qualname,
-                            message=(
-                                f"`{fn.name}` issues requests but takes no "
-                                f"`{DEADLINE_PARAM}` parameter; callers "
-                                f"cannot bound it"
-                            ),
-                        )
-                    )
-                for call in request_calls:
-                    forwards = any(
-                        kw.arg == DEADLINE_PARAM
-                        and isinstance(kw.value, ast.Name)
-                        and kw.value.id == DEADLINE_PARAM
-                        for kw in call.keywords
-                    ) or any(
-                        isinstance(arg, ast.Name) and arg.id == DEADLINE_PARAM
-                        for arg in call.args
-                    )
-                    if not forwards:
-                        violations.append(
-                            Violation(
-                                path=fn.path,
-                                line=call.lineno,
-                                rule="LOOM114",
-                                symbol=fn.qualname,
-                                message=(
-                                    f"`{fn.name}` calls "
-                                    f"{REQUEST_CALL_NAME}() without "
-                                    f"forwarding `{DEADLINE_PARAM}`; the "
-                                    f"caller's budget is silently replaced "
-                                    f"by the client default"
-                                ),
-                            )
-                        )
-        if not _in_daemon(fn.module):
-            continue
-        if any(fn.path.endswith(sfx) for sfx in TRANSPORT_EXEMPT_SUFFIXES):
-            continue
-        io_calls: List[ast.Call] = []
-        arms_timeout = False
-        for sub in ast.walk(fn.node):
-            if isinstance(sub, ast.Call) and isinstance(
-                sub.func, ast.Attribute
-            ):
-                if sub.func.attr in FRAME_IO_METHODS:
-                    io_calls.append(sub)
-                elif sub.func.attr == TIMEOUT_CALL_NAME:
-                    arms_timeout = True
-        if io_calls and not arms_timeout:
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=io_calls[0].lineno,
-                    rule="LOOM114",
-                    symbol=fn.qualname,
-                    message=(
-                        f"`{fn.name}` does raw frame I/O without arming "
-                        f"{TIMEOUT_CALL_NAME}(); on a dead peer this "
-                        f"blocks forever"
-                    ),
-                )
-            )
-    return violations
-
-
-def rule_wire_constant_single_source(index: ProjectIndex) -> List[Violation]:
-    """LOOM115: wire constants live in protocol.py, everyone else imports."""
-    violations: List[Violation] = []
-    for sf in sorted(index.files, key=lambda s: s.path):
-        if not _in_daemon(sf.module) or sf.module == PROTOCOL_MODULE:
-            continue
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
-                is_struct = dotted in (
-                    "struct.Struct",
-                    "struct.pack",
-                    "struct.unpack",
-                    "struct.pack_into",
-                    "struct.unpack_from",
-                    "struct.calcsize",
-                )
-                if not is_struct or not node.args:
-                    continue
-                fmt = node.args[0]
-                if (
-                    isinstance(fmt, ast.Constant)
-                    and isinstance(fmt.value, str)
-                    and fmt.value in WIRE_STRUCT_FORMATS
-                ):
-                    violations.append(
-                        Violation(
-                            path=sf.path,
-                            line=node.lineno,
-                            rule="LOOM115",
-                            symbol=_enclosing_symbol(index, sf, node.lineno),
-                            message=(
-                                f"struct format {fmt.value!r} re-declares a "
-                                f"wire framing layout; import the named "
-                                f"constant from {PROTOCOL_MODULE} instead"
-                            ),
-                        )
-                    )
-        # Module-scope rebindings of the protocol constant names.
-        for node in sf.tree.body:
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in WIRE_CONSTANT_NAMES
-                ):
-                    violations.append(
-                        Violation(
-                            path=sf.path,
-                            line=node.lineno,
-                            rule="LOOM115",
-                            symbol=sf.module,
-                            message=(
-                                f"`{target.id}` is re-bound here; the "
-                                f"single source of wire truth is "
-                                f"{PROTOCOL_MODULE} — import it"
-                            ),
-                        )
-                    )
-    return violations
-
-
-def _guards_header_errors(node: ast.Try) -> bool:
-    for handler in node.handlers:
-        types: List[ast.expr] = []
-        if handler.type is None:
-            return True  # bare except guards (LOOM105 polices those)
-        if isinstance(handler.type, ast.Tuple):
-            types = list(handler.type.elts)
-        else:
-            types = [handler.type]
-        for t in types:
-            name = _terminal_name(t)
-            if name in HEADER_GUARD_EXCEPTIONS:
-                return True
-    return False
-
-
-def _membership_test_on(test: ast.expr, receivers: FrozenSet[str]) -> bool:
-    """Does ``test`` contain ``<key> in <receiver>`` for a header name?"""
-    for sub in ast.walk(test):
-        if not isinstance(sub, ast.Compare):
-            continue
-        for op, comparator in zip(sub.ops, sub.comparators):
-            if isinstance(op, (ast.In, ast.NotIn)):
-                name = _terminal_name(comparator)
-                if name in receivers:
-                    return True
-    return False
-
-
-def rule_header_validated(index: ProjectIndex) -> List[Violation]:
-    """LOOM116: raw header subscripts only under a validation guard."""
-    violations: List[Violation] = []
-
-    def walk(fn: FunctionInfo, node: ast.AST, guarded: bool) -> None:
-        if isinstance(node, ast.Try):
-            safe = guarded or _guards_header_errors(node)
-            for child in node.body:
-                walk(fn, child, safe)
-            for part in (node.handlers, node.orelse, node.finalbody):
-                for child in part:
-                    walk(fn, child, guarded)
-            return
-        if isinstance(node, ast.If):
-            body_guarded = guarded or _membership_test_on(
-                node.test, HEADER_RECEIVER_NAMES
-            )
-            walk(fn, node.test, guarded)
-            for child in node.body:
-                walk(fn, child, body_guarded)
-            for child in node.orelse:
-                walk(fn, child, guarded)
-            return
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            comp_guarded = guarded or any(
-                _membership_test_on(cond, HEADER_RECEIVER_NAMES)
-                for gen in node.generators
-                for cond in gen.ifs
-            )
-            for child in ast.iter_child_nodes(node):
-                walk(fn, child, comp_guarded)
-            return
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in HEADER_RECEIVER_NAMES
-            and not guarded
-        ):
-            key = _render(node.slice)
-            violations.append(
-                Violation(
-                    path=fn.path,
-                    line=node.lineno,
-                    rule="LOOM116",
-                    symbol=fn.qualname,
-                    message=(
-                        f"raw subscript {node.value.id}[{key}] on a wire "
-                        f"header outside a KeyError/TypeError/ValueError "
-                        f"guard or membership test; a malformed frame "
-                        f"becomes an unhandled exception here"
-                    ),
-                )
-            )
-        for child in ast.iter_child_nodes(node):
-            walk(fn, child, guarded)
-
-    for fn in sorted(
-        index.functions.values(), key=lambda f: (f.path, f.qualname)
-    ):
-        if fn.module not in HEADER_CHECKED_MODULES:
-            continue
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for stmt in fn.node.body:
-            walk(fn, stmt, False)
-    return violations
-
-
-ALL_RULES = (
-    rule_reader_blocking,
-    rule_version_parity,
-    rule_publish_order,
-    rule_nondeterminism,
-    rule_metrics_clock,
-    rule_exception_hygiene,
-    rule_contract_docstrings,
-    rule_seqlock_mutation_visibility,
-    rule_sanitizer_isolation,
-    rule_shadow_totality,
-    rule_stable_schedule_alphabet,
-    rule_async_blocking,
-    rule_await_shard_state,
-    rule_deadline_propagation,
-    rule_wire_constant_single_source,
-    rule_header_validated,
-)
-
-
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
 @dataclass
 class LintResult:
-    violations: List[Violation]
-    suppressed: List[Violation]
-    baselined: List[Violation]
+    findings: List[Finding]
+    suppressed: List[Finding]
 
     @property
     def clean(self) -> bool:
-        return not self.violations
+        return not self.findings
 
 
-def _suppressed(index: ProjectIndex, violation: Violation) -> bool:
-    sf = next((s for s in index.files if s.path == violation.path), None)
-    if sf is None:
-        return False
-    if violation.rule in sf.file_suppressions:
-        return True
-    if violation.rule in sf.suppressions.get(violation.line, set()):
-        return True
-    fn = index.functions.get(violation.symbol)
-    if fn is not None and fn.path == violation.path:
-        def_line = fn.node.lineno
-        if violation.rule in sf.suppressions.get(def_line, set()):
-            return True
-    return False
+def check_config(index: ProjectIndex) -> None:
+    """Raise :class:`ConfigError` unless every configured function and
+    class resolves in ``index``.
 
-
-def load_baseline(path: Optional[str]) -> Set[Tuple[str, str, str]]:
-    if path is None or not os.path.exists(path):
-        return set()
-    with open(path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
-    return {
-        (entry["rule"], entry["path"], entry["symbol"])
-        for entry in entries
-    }
-
-
-def save_baseline(path: str, violations: Sequence[Violation]) -> int:
-    """Write ``violations`` as the new accepted baseline; return the count.
-
-    Entries are keyed like :meth:`Violation.baseline_key` — (rule, path,
-    symbol), deliberately *not* line numbers, so unrelated edits that
-    shift code do not invalidate the baseline.
+    A reader root, typed attribute or shadow-surface entry that names
+    something a refactor renamed would otherwise drop out of its rule
+    without a finding; loomlint analyses the project, not a subtree, so
+    an unresolved entry means the config (or the path list) is wrong.
     """
-    keys = sorted({v.baseline_key() for v in violations})
-    payload = [
-        {"rule": rule, "path": rel_path, "symbol": symbol}
-        for rule, rel_path, symbol in keys
-    ]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    return len(payload)
+    unresolved: List[str] = []
+    for path in ENGINE_PATHS:
+        if path not in index.files:
+            unresolved.append(f"ENGINE_PATHS: {path}")
+    for pattern in READER_ROOTS:
+        if not index.match_functions(pattern):
+            unresolved.append(f"READER_ROOTS: {pattern}")
+    for constant, qualname in (
+        ("RECORD_LOG_QUALNAME", RECORD_LOG_QUALNAME),
+        ("SHADOW_LOG_QUALNAME", SHADOW_LOG_QUALNAME),
+        ("FUZZ_SCHEDULE_QUALNAME", FUZZ_SCHEDULE_QUALNAME),
+    ):
+        if qualname not in index.classes:
+            unresolved.append(f"{constant}: {qualname}")
+    record_log = index.classes.get(RECORD_LOG_QUALNAME)
+    for name in SHADOW_SURFACE:
+        if record_log is not None and name not in record_log.methods:
+            unresolved.append(f"SHADOW_SURFACE: {RECORD_LOG_QUALNAME}.{name}")
+    for constant, types in (("ATTR_TYPES", ATTR_TYPES), ("LOCAL_TYPES", LOCAL_TYPES)):
+        for class_name in sorted({c for names in types.values() for c in names}):
+            if class_name not in index.classes_by_name:
+                unresolved.append(f"{constant}: class {class_name}")
+    if unresolved:
+        raise ConfigError(
+            "tools/loomlint/config.py names code the analyzed tree does not "
+            "define (lint the whole project from the repository root, or fix "
+            "the entry):\n  " + "\n  ".join(unresolved)
+        )
 
 
-def run(
-    paths: Sequence[str],
-    root: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-) -> LintResult:
-    """Analyze ``paths`` and return categorized violations."""
-    root = root or os.getcwd()
-    index = ProjectIndex.build(paths, root)
-    baseline = load_baseline(baseline_path)
-    violations: List[Violation] = []
-    suppressed: List[Violation] = []
-    baselined: List[Violation] = []
+def lint(index: ProjectIndex) -> LintResult:
+    """Run every rule over ``index`` and split off suppressed findings."""
+    findings: List[Finding] = []
+    suppressed: List[Finding] = []
     for rule in ALL_RULES:
-        for violation in rule(index):
-            if _suppressed(index, violation):
-                suppressed.append(violation)
-            elif violation.baseline_key() in baseline:
-                baselined.append(violation)
-            else:
-                violations.append(violation)
-    violations.sort(key=lambda v: (v.path, v.line, v.rule))
-    return LintResult(violations=violations, suppressed=suppressed, baselined=baselined)
+        for finding in rule(index):
+            (suppressed if index.suppressed(finding) else findings).append(finding)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return LintResult(findings=findings, suppressed=suppressed)
+
+
+def run(paths: Sequence[str], root: Optional[str] = None) -> LintResult:
+    """Analyze the project under ``paths`` (relative to ``root``, default
+    the working directory); raises :class:`ConfigError` when the lint
+    config no longer matches the tree."""
+    index = ProjectIndex.build(paths, root or os.getcwd())
+    check_config(index)
+    return lint(index)

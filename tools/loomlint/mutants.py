@@ -1,7 +1,7 @@
-"""Seeded-escape self-test for the loomflow analysis.
+"""Seeded-escape self-test for the view-lifetime rules (LOOM201-208).
 
 Each mutant appends a small, realistic view-lifetime bug to a *real*
-source file (in memory, via the engine's source-override hook — the tree
+source file (in memory, via the index's source-override hook — the tree
 on disk is never touched), re-runs the analysis, and asserts the
 expected rule fires at the expected ``file:line`` with a borrow-site
 trace.  This is the analysis's own regression net: if a refactor of the
@@ -21,7 +21,8 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .engine import Finding, analyze, ProjectIndex
+from .borrows import rule_borrows
+from .index import Finding, ProjectIndex
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def check_mutant(root: str, mutant: Mutant) -> "tuple[bool, str, Optional[Findin
     index = ProjectIndex.build(
         [os.path.join(root, "src")], root, overrides={mutant.path: mutated}
     )
-    findings = analyze(index)
+    findings = rule_borrows(index)
     expected_line = base + mutant.offset
     hit = next(
         (
@@ -258,7 +259,7 @@ def run_mutants(root: str, verbose: bool = False) -> int:
         if not ok:
             failures += 1
     print(
-        f"loomflow mutants: {len(MUTANTS) - failures}/{len(MUTANTS)} caught",
+        f"loomlint mutants: {len(MUTANTS) - failures}/{len(MUTANTS)} caught",
         file=sys.stderr,
     )
     return 1 if failures else 0

@@ -2,7 +2,7 @@
 
 Three layers (DESIGN.md section 13):
 
-* :mod:`repro.core.modelcheck` — the generic bounded BFS engine
+* :mod:`tools.loommc.modelcheck` — the generic bounded BFS engine
   (safety invariants per state, liveness as reachability under
   fairness, exact counterexample replay as JSON);
 * :mod:`tools.loommc.models` — the abstract protocol models

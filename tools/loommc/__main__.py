@@ -33,7 +33,7 @@ def _ensure_repro_importable() -> None:
 
 _ensure_repro_importable()
 
-from repro.core.modelcheck import (  # noqa: E402
+from .modelcheck import (  # noqa: E402
     CheckResult,
     Counterexample,
     Model,

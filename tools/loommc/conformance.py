@@ -31,7 +31,7 @@ and the transition rules the model enforces on it:
 Every ``test_server_client.py`` / ``test_transport_faults.py`` run
 doubles as a refinement check: a conftest fixture feeds each test's
 packet traces through :func:`check_trace`, and any violation fails the
-test with a :class:`~repro.core.modelcheck.Counterexample` whose steps
+test with a :class:`~tools.loommc.modelcheck.Counterexample` whose steps
 are the offending trace prefix (shipped by the ``LOOM_STATS_DUMP``
 failure hook like any other counterexample).
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.modelcheck import (
+from .modelcheck import (
     Counterexample,
     ModelCheckError,
     note_counterexample,

@@ -1,7 +1,7 @@
 """Explicit-state bounded model checking for Loom's distributed protocol.
 
 The single-node seqlock is machine-checked by running *real threads*
-under a deterministic scheduler (:mod:`repro.core.schedule`).  The
+under a deterministic scheduler (:mod:`tools.loomsan.schedule`).  The
 networked service (DESIGN.md section 12) cannot be checked that way —
 its interleavings span an asyncio event loop, worker threads, and an
 adversarial network — so loommc takes the classic other route: small
@@ -23,7 +23,7 @@ Design points, mirroring the sanitizer layer's conventions:
 * **Actions are strings.**  Every transition is named by a label that
   fully determines the successor (``"server.admit seq=2"``).  A
   counterexample is therefore just a list of labels — the same stance
-  :class:`~repro.core.schedule.FuzzSchedule` takes with thread names —
+  :class:`~tools.loomsan.schedule.FuzzSchedule` takes with thread names —
   and replays exactly in any later process, with no RNG and no object
   identities.
 
@@ -61,7 +61,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import LoomError
+from repro.core.errors import LoomError
 
 #: A model state: any hashable value; the bundled models use NamedTuples.
 State = Hashable
@@ -124,7 +124,7 @@ class Counterexample:
     The JSON wire format deliberately contains nothing ephemeral —
     model and invariant *names*, the action-label trace, and the error
     text — so a counterexample recorded in CI replays in any later
-    process (the :class:`~repro.core.schedule.FuzzSchedule` stance).
+    process (the :class:`~tools.loomsan.schedule.FuzzSchedule` stance).
     """
 
     FORMAT_VERSION: ClassVar[int] = 1

@@ -1,7 +1,7 @@
 """Abstract models of the Loom networked protocol (DESIGN.md section 12).
 
 Each model is a small labelled transition system over a ``NamedTuple``
-state, explored exhaustively by :class:`repro.core.modelcheck.ModelChecker`.
+state, explored exhaustively by :class:`tools.loommc.modelcheck.ModelChecker`.
 The models abstract the code in ``src/repro/daemon/`` — the conformance
 mapping table in DESIGN.md section 13 ties every action label here to
 the concrete code site it stands for.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
-from repro.core.modelcheck import Invariant, Model, State
+from .modelcheck import Invariant, Model, State
 
 __all__ = [
     "IngestExactlyOnce",

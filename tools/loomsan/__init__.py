@@ -1,7 +1,7 @@
 """loomsan: command-line driver for the Loom sanitizer layer.
 
-Wraps the pieces that live in :mod:`repro.core.sanitizer` and
-:mod:`repro.core.schedule` into CI-runnable verbs:
+Wraps the pieces that live in :mod:`tools.loomsan.sanitizer` and
+:mod:`tools.loomsan.schedule` into CI-runnable verbs:
 
 * ``loomsan dfs``    — exhaustive interleaving exploration of the
   seqlock scenario with the happens-before race detector attached;

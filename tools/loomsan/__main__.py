@@ -31,7 +31,7 @@ def _ensure_repro_importable() -> None:
 
 _ensure_repro_importable()
 
-from repro.core.schedule import (  # noqa: E402
+from .schedule import (  # noqa: E402
     FuzzSchedule,
     InterleavingExplorer,
     ScheduleFuzzer,
@@ -168,7 +168,7 @@ def cmd_shadow(args: argparse.Namespace) -> int:
 
     from repro.core import HistogramSpec, LoomConfig, VirtualClock
     from repro.core.record_log import RecordLog
-    from repro.core.sanitizer import install, shadow_of, uninstall, verify_log
+    from .sanitizer import install, shadow_of, uninstall, verify_log
 
     value = struct.Struct("<d")
     install()

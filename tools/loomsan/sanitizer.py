@@ -10,8 +10,8 @@ this module checks *behavior*, continuously:
   it, and watermark stores/loads do the same for each hybrid log.  Any
   *validated* ``try_copy`` whose bytes came from a write not ordered
   before the reader is flagged as a race.  It attaches to scenarios run
-  by the exhaustive :class:`~repro.core.schedule.InterleavingExplorer`
-  or the randomized :class:`~repro.core.schedule.ScheduleFuzzer`.
+  by the exhaustive :class:`~tools.loomsan.schedule.InterleavingExplorer`
+  or the randomized :class:`~tools.loomsan.schedule.ScheduleFuzzer`.
 * :class:`ShadowLog` — a trivially-correct reference model (per-source
   Python lists) mirroring every ``push``/``push_many``/schema operation
   on a :class:`~repro.core.record_log.RecordLog`, with differential
@@ -27,9 +27,9 @@ this module checks *behavior*, continuously:
   differential oracle at ``close``.  The whole tier-1 suite runs
   sanitized this way under ``LOOMSAN=1`` (see ``tests/conftest.py``).
 
-Nothing in the production tree imports this module at module level
-(enforced statically by loomlint LOOM108): production pays only for the
-yield points, which are inert without a hook or observer.
+Nothing under ``src/repro`` imports this module (enforced statically by
+loomlint LOOM108): production pays only for the yield points, which are
+inert without a hook or observer.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from . import viewguard
-from .clock import Clock
-from .config import LoomConfig
-from .errors import LoomError
-from .histogram import HistogramSpec, IndexDefinition, IndexFunc
-from .hybridlog import NULL_ADDRESS, Health
-from .archive import MigrationReport, RetentionReport
-from .record_log import RecordLog, SourceState
-from .snapshot import Snapshot
+from repro.core import viewguard
+from repro.core.clock import Clock
+from repro.core.config import LoomConfig
+from repro.core.errors import LoomError
+from repro.core.histogram import HistogramSpec, IndexDefinition, IndexFunc
+from repro.core.hybridlog import NULL_ADDRESS, Health
+from repro.core.archive import MigrationReport, RetentionReport
+from repro.core.record_log import RecordLog, SourceState
+from repro.core.snapshot import Snapshot
 
 __all__ = [
     "RaceDetector",
@@ -147,7 +147,7 @@ class RaceDetector:
     fails validation (``block.try_copy.invalid``) is discarded without
     complaint: retrying is the contract, not a race.
 
-    Implements the :class:`~repro.core.schedule.ScenarioObserver`
+    Implements the :class:`~tools.loomsan.schedule.ScenarioObserver`
     protocol, so it can ride along any explorer or fuzzer scenario via
     ``Scenario(observers=[detector])``.
     """
@@ -612,7 +612,7 @@ def _check_raw_scan(
     t_end: int,
     failures: List[str],
 ) -> None:
-    from .operators import raw_scan
+    from repro.core.operators import raw_scan
 
     capped = len(mirror) > FULL_CHECK_CAP
     depth = CAPPED_SCAN_DEPTH if capped else len(mirror)
@@ -636,7 +636,7 @@ def _check_indexed_scan(
     t_end: int,
     failures: List[str],
 ) -> None:
-    from .operators import indexed_scan
+    from repro.core.operators import indexed_scan
 
     definition = IndexDefinition(
         index_id=index.index_id,
@@ -743,7 +743,7 @@ def _check_aggregates(
     agg_pool: Sequence[ShadowRecord] = (),
     agg_exact: bool = True,
 ) -> None:
-    from .operators import bin_histogram, indexed_aggregate
+    from repro.core.operators import bin_histogram, indexed_aggregate
 
     definition = IndexDefinition(
         index_id=index.index_id,
@@ -1152,7 +1152,7 @@ def install() -> None:
     setattr(RecordLog, "reopen", classmethod(reopen))
     # The view-lifetime guard rides along with every sanitized run: from
     # here on, zero-copy views are tracked and poisoned on invalidation
-    # (see repro.core.viewguard — the loomflow runtime twin).
+    # (see repro.core.viewguard — the runtime twin of LOOM201-208).
     viewguard.activate()
     _installed = True
 

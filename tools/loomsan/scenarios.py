@@ -13,8 +13,8 @@ from typing import Dict, Type, Union
 from repro.core import yieldpoints
 from repro.core.block import Block
 from repro.core.errors import SnapshotRetry
-from repro.core.sanitizer import RaceDetector
-from repro.core.schedule import Scenario, ThreadSpec
+from .sanitizer import RaceDetector
+from .schedule import Scenario, ThreadSpec
 
 
 class UnversionedBlock(Block):

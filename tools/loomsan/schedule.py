@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from . import yieldpoints
+from repro.core import yieldpoints
 
 #: Registry mapping a controlled thread's ident to its controller, so the
 #: globally-installed yield-point hook can find who just yielded.
