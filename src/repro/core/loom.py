@@ -43,14 +43,15 @@ from .operators import (
     QueryResult,
     QueryStats,
     QueryTrace,
+    Records,
     bin_histogram,
     bin_values,
     indexed_aggregate,
-    indexed_scan,
-    raw_scan,
+    indexed_scan_batches,
+    raw_scan_batches,
 )
 from .record import Record
-from .record_log import RecordLog
+from .record_log import RecordBatch, RecordLog
 from .snapshot import Snapshot
 
 TimeRange = Tuple[int, int]
@@ -226,24 +227,19 @@ class Loom:
 
         With ``func`` given, applies it to each record and leaves
         ``result.records`` as ``None`` (the paper's streaming UDF form);
-        otherwise the matching records are collected on the result.
-        ``trace=True`` attaches a per-stage :class:`QueryTrace`.
+        otherwise the matching records land on the result as a lazy
+        :class:`~repro.core.operators.Records` sequence over the scan's
+        column batches.  ``trace=True`` attaches a per-stage
+        :class:`QueryTrace`.
         """
         snap = snapshot or self.snapshot()
         stats = QueryStats()
         qtrace = QueryTrace() if trace else None
         self._note_query("scan")
-        it = raw_scan(
+        batches = raw_scan_batches(
             snap, source_id, t_range[0], t_range[1], stats=stats, trace=qtrace
         )
-        records = self._drive(it, func)
-        return QueryResult(
-            stats=stats,
-            records=records,
-            count=stats.records_matched,
-            trace=qtrace,
-            source=str(source_id),
-        )
+        return self._scan_result(batches, func, stats, qtrace, source_id)
 
     def scan_indexed(
         self,
@@ -258,27 +254,21 @@ class Loom:
         """Scan a source in a time and value range using an index.
 
         Surviving chunks are scanned columnar: header columns are decoded
-        in bulk (zero-copy from persisted storage) and the source/time
-        predicates run as one vectorized mask, so per-record Python work
-        happens only for matching records.
+        in bulk (zero-copy from persisted storage), the source/time
+        predicates run as one vectorized mask, and the value predicate
+        runs on the survivors' value column; the only per-record Python
+        work is the index function itself.
         """
         snap = snapshot or self.snapshot()
         index = self._check_index(source_id, index_id)
         stats = QueryStats()
         qtrace = QueryTrace() if trace else None
         self._note_query("scan_indexed")
-        it = indexed_scan(
+        batches = indexed_scan_batches(
             snap, source_id, index, t_range[0], t_range[1],
             v_range[0], v_range[1], stats=stats, trace=qtrace,
         )
-        records = self._drive(it, func)
-        return QueryResult(
-            stats=stats,
-            records=records,
-            count=stats.records_matched,
-            trace=qtrace,
-            source=str(source_id),
-        )
+        return self._scan_result(batches, func, stats, qtrace, source_id)
 
     def aggregate(
         self,
@@ -400,14 +390,29 @@ class Loom:
         counter.inc()
 
     @staticmethod
-    def _drive(
-        it: Iterator[Record], func: Optional[RecordFunc]
-    ) -> Optional[List[Record]]:
+    def _scan_result(
+        batches: Iterator[RecordBatch],
+        func: Optional[RecordFunc],
+        stats: QueryStats,
+        trace: Optional[QueryTrace],
+        source_id: int,
+    ) -> QueryResult:
+        """Drive a scan: stream its records through ``func``, or keep its
+        batches as the result's lazy record sequence."""
+        records = None
         if func is None:
-            return list(it)
-        for record in it:
-            func(record)
-        return None
+            records = Records(batches)
+        else:
+            for batch in batches:
+                for record in batch:
+                    func(record)
+        return QueryResult(
+            stats=stats,
+            records=records,
+            count=stats.records_matched,
+            trace=trace,
+            source=str(source_id),
+        )
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -26,18 +26,21 @@ layer falls back to exactly the extra scanning the paper describes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
-from . import viewguard
 from .chunk_index import STATE_RETIRED
-from .errors import LoomError
+from .errors import AddressError, LoomError
 from .histogram import HistogramSpec, IndexDefinition
-from .record import HEADER_SIZE, Record
+from .hybridlog import NULL_ADDRESS
+from .record import Record
+from .record_log import RecordBatch
 from .snapshot import Snapshot
-from .summary import BinStats, ChunkSummary
+from .summary import BinStats, ChunkSummary, SourceChunkInfo
 
 _U64_MAX = 2**64 - 1
 
@@ -140,17 +143,67 @@ class QueryTrace:
         return "\n".join(lines)
 
 
+class Records(Sequence[Record]):
+    """A scan's records, as a lazy sequence over its batches.
+
+    ``len``, indexing (``[0]``, ``[-1]``, slices), iteration and equality
+    with a list behave as they would on a ``List[Record]``; a
+    :class:`Record` is built only when one is asked for, so a caller that
+    looks at the count and the two ends of a large result pays for two
+    records.
+    """
+
+    def __init__(self, batches: Iterable[RecordBatch]) -> None:
+        self.batches = [batch for batch in batches if len(batch)]
+        self._ends = list(accumulate(len(batch) for batch in self.batches))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    @overload
+    def __getitem__(self, i: int) -> Record: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> List[Record]: ...
+
+    def __getitem__(self, i: "int | slice") -> "Record | List[Record]":
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("record index out of range")
+        b = bisect_right(self._ends, i)
+        batch = self.batches[b]
+        return batch.record(i - self._ends[b] + len(batch))
+
+    def __iter__(self) -> Iterator[Record]:
+        for batch in self.batches:
+            yield from batch
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, Records)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Records({len(self)} records in {len(self.batches)} batches)"
+
+
 @dataclass
 class QueryResult:
     """Unified result of every Loom query verb.
 
     Scans fill :attr:`records` (``None`` when driven by a streaming
-    ``func``); aggregates fill :attr:`value`.  :attr:`count` is the
-    number of matched records either way.  :attr:`stats` always carries
-    the work counters, and :attr:`trace` the optional stage trace.
-    :attr:`source` is a display label for the queried source — the
-    daemon resolves it to the source *name*; the core falls back to the
-    numeric id.
+    ``func``), a :class:`Records` sequence unless a caller built the
+    result from a plain list; aggregates fill :attr:`value`.
+    :attr:`count` is the number of matched records either way.
+    :attr:`stats` always carries the work counters, and :attr:`trace` the
+    optional stage trace.  :attr:`source` is a display label for the
+    queried source — the daemon resolves it to the source *name*; the
+    core falls back to the numeric id.
 
     Two verb-specific payloads ride along for the distributed protocol
     (both ``None`` for ordinary scans/aggregates): :attr:`bins` carries a
@@ -161,7 +214,7 @@ class QueryResult:
     """
 
     stats: QueryStats
-    records: Optional[List[Record]] = None
+    records: Optional[Sequence[Record]] = None
     value: Optional[float] = None
     count: int = 0
     trace: Optional[QueryTrace] = None
@@ -183,26 +236,51 @@ def raw_scan(
     trace: Optional[QueryTrace] = None,
 ) -> Iterator[Record]:
     """Yield a source's records with ``t_start <= timestamp <= t_end``,
-    newest to oldest.
+    newest to oldest (:func:`raw_scan_batches`, one record at a time)."""
+    for batch in raw_scan_batches(
+        snapshot, source_id, t_start, t_end, stats, use_time_index, trace
+    ):
+        yield from batch
 
-    Uses the timestamp index to find the most recent record at or after the
-    end of the range, then walks the back-pointer chain until it passes the
-    start of the range.  With ``use_time_index=False`` the walk starts from
-    the source's live chain head, so cost grows with lookback distance —
-    the paper's "no index" ablation behaviour.
 
-    ``trace``, when given, receives stage events once the scan is driven
-    to completion (an abandoned iterator leaves a partial trace).
+def raw_scan_batches(
+    snapshot: Snapshot,
+    source_id: int,
+    t_start: int,
+    t_end: int,
+    stats: Optional[QueryStats] = None,
+    use_time_index: bool = True,
+    trace: Optional[QueryTrace] = None,
+) -> Iterator[RecordBatch]:
+    """A source's records with ``t_start <= timestamp <= t_end``, newest
+    to oldest, in batches.
+
+    The timestamp index names the most recent record at or after the end
+    of the range, and the scan reads it: the seek, one pointer read that
+    tells an empty window from a populated one.  From there the source's
+    back-pointer chain says *where* the scan goes and the chunk summaries
+    say *how*: a chunk in which the source is dense
+    (:meth:`Snapshot.dense_region`) is decoded whole into columns and
+    masked, and the walk resumes at the back-pointer of the oldest row it
+    covered; through a chunk in which it is sparse the pointers are
+    followed one record at a time.  With ``use_time_index=False`` the walk
+    starts from the source's live chain head and follows pointers only, so
+    cost grows with lookback distance — the paper's "no index" ablation.
+
+    ``stats.records_scanned`` counts every row decoded on the way: all
+    records of a region-decoded chunk, whatever their source, plus one per
+    pointer read.  ``trace``, when given, receives stage events once the
+    scan is driven to completion.
     """
     if stats is None:
         stats = QueryStats()
-    if t_end < t_start:
+    if t_end < t_start or t_end < 0 or t_start > _U64_MAX:
         return
-    start_hint: Optional[int] = None
+    address = snapshot.chain_head(source_id)
     if use_time_index:
         hit = snapshot.first_record_after(source_id, t_end)
         if hit is not None:
-            start_hint = hit[1]
+            address = hit[1]
         stats.used_time_index = True
         if trace is not None:
             trace.add(
@@ -211,26 +289,91 @@ def raw_scan(
                 "timestamp index miss (walk from chain head)",
                 count=1,
             )
-    walked = 0
-    matched = 0
-    for record in snapshot.iter_chain(source_id, start=start_hint, stats=stats):
-        walked += 1
-        stats.records_scanned += 1
-        if record.timestamp > t_end:
-            continue
-        if record.timestamp < t_start:
-            break
-        matched += 1
-        stats.records_matched += 1
-        yield record
+    scanned, matched = stats.records_scanned, stats.records_matched
+    chunk_size = snapshot.record_log.chunk_size
+    #: Address of the last record (or start of the last region) the walk
+    #: covered: a record boundary above ``address`` with none of the
+    #: source's records in between, so a region step may stop there.
+    ceiling = address
+    #: Pointers are followed down to here before asking whether the next
+    #: chunk is cheaper by region; the seek, and the step after a region,
+    #: is always one pointer read.
+    boundary = address
+    region: Optional[Tuple[int, int]] = None
+    while address != NULL_ADDRESS:
+        if region is not None:
+            batch, address = _walk_region(
+                snapshot, region[0], min(region[1], ceiling),
+                source_id, t_start, t_end, stats,
+            )
+            ceiling, boundary, region = region[0], address, None
+        else:
+            records: List[Record] = []
+            for record in snapshot.iter_chain(source_id, start=address, stats=stats):
+                stats.records_scanned += 1
+                ceiling, address = record.address, record.prev_addr
+                if record.timestamp < t_start:
+                    address = NULL_ADDRESS
+                    break
+                if record.timestamp <= t_end:
+                    records.append(record)
+                if use_time_index and address < boundary:
+                    region = snapshot.dense_region(source_id, address, t_start)
+                    if region is not None:
+                        break
+                    boundary = address // chunk_size * chunk_size
+            else:
+                address = NULL_ADDRESS  # chain exhausted, or the retention floor
+            batch = RecordBatch.from_records(source_id, records) if records else None
+        if batch is not None:
+            stats.records_matched += len(batch)
+            yield batch
     if trace is not None:
-        trace.add("chain-walk", f"matched {matched}", count=walked)
+        trace.add(
+            "chain-walk",
+            f"matched {stats.records_matched - matched}",
+            count=stats.records_scanned - scanned,
+        )
+
+
+def _walk_region(
+    snapshot: Snapshot,
+    start: int,
+    end: int,
+    source_id: int,
+    t_start: int,
+    t_end: int,
+    stats: QueryStats,
+) -> Tuple[Optional[RecordBatch], int]:
+    """One region step of the chain walk: the source's records in
+    ``[start, end)``, newest first, exactly as following the back-pointers
+    through them would select them (records newer than ``t_end`` skipped,
+    the walk cut at the first one older than ``t_start``).  Returns the
+    in-range batch and the address the chain continues at
+    (``NULL_ADDRESS`` once the walk is over)."""
+    try:
+        columns = snapshot.region_columns(start, end, stats=stats)
+    except AddressError:
+        if start >= snapshot.record_log.retention_floor:
+            raise
+        stats.degraded = True  # retention advanced under the walk
+        return None, NULL_ADDRESS
+    assert columns is not None
+    stats.records_scanned += len(columns)
+    rows = np.flatnonzero(columns.source_ids == source_id)[::-1]
+    timestamps = columns.timestamps[rows]
+    resume = int(columns.prev_addrs[rows[-1]])
+    older = np.flatnonzero(timestamps < np.uint64(max(t_start, 0)))
+    if older.size:
+        rows, timestamps, resume = rows[: older[0]], timestamps[: older[0]], NULL_ADDRESS
+    rows = rows[timestamps <= np.uint64(min(t_end, _U64_MAX))]
+    return (columns.batch(source_id, rows) if rows.size else None), resume
 
 
 # ----------------------------------------------------------------------
 # indexed range scan
 # ----------------------------------------------------------------------
-def indexed_scan(  # loomflow: borrows=scan
+def indexed_scan(
     snapshot: Snapshot,
     source_id: int,
     index: IndexDefinition,
@@ -241,20 +384,39 @@ def indexed_scan(  # loomflow: borrows=scan
     stats: Optional[QueryStats] = None,
     use_time_index: bool = True,
     use_chunk_index: bool = True,
-    copy: bool = True,
     trace: Optional[QueryTrace] = None,
 ) -> Iterator[Record]:
     """Yield records of ``source_id`` in the time range whose indexed value
-    lies in ``[v_min, v_max]``, in ascending address (= arrival) order.
+    lies in ``[v_min, v_max]``, in ascending address (= arrival) order
+    (:func:`indexed_scan_batches`, one record at a time)."""
+    for batch in indexed_scan_batches(
+        snapshot, source_id, index, t_start, t_end, v_min, v_max,
+        stats, use_time_index, use_chunk_index, trace,
+    ):
+        yield from batch
+
+
+def indexed_scan_batches(
+    snapshot: Snapshot,
+    source_id: int,
+    index: IndexDefinition,
+    t_start: int,
+    t_end: int,
+    v_min: float = NEG_INF,
+    v_max: float = POS_INF,
+    stats: Optional[QueryStats] = None,
+    use_time_index: bool = True,
+    use_chunk_index: bool = True,
+    trace: Optional[QueryTrace] = None,
+) -> Iterator[RecordBatch]:
+    """Records of ``source_id`` in the time range whose indexed value lies
+    in ``[v_min, v_max]``, in ascending address (= arrival) order, one
+    batch per scanned chunk.
 
     The three-step access pattern of section 4.3: the timestamp index
     narrows the summary window, summaries filter chunks by bin occupancy,
     and only surviving chunks (plus the unsummarized active region) are
     scanned.
-
-    ``copy=False`` yields records with memoryview payloads aliasing each
-    chunk's scan buffer — cheaper, but only valid while iterating; callers
-    that collect records into a list must keep the copying default.
 
     ``trace``, when given, receives stage events once the scan is driven
     to completion.
@@ -264,47 +426,43 @@ def indexed_scan(  # loomflow: borrows=scan
     if t_end < t_start:
         return
     relevant_bins = set(index.spec.bins_overlapping(v_min, v_max))
-
-    examined = 0
-    skipped = 0
-    scanned = 0
-    for summary in _candidate_summaries(snapshot, t_start, t_end, use_time_index, stats):
-        examined += 1
-        stats.summaries_examined += 1
-        info = summary.source_info(source_id)
-        if info is None or info.t_min > t_end or info.t_max < t_start:
-            skipped += 1
-            stats.chunks_skipped += 1
-            continue
+    regions: List[Tuple[int, int]] = []
+    examined, skipped = stats.summaries_examined, stats.chunks_skipped
+    for summary, _ in _candidate_summaries(
+        snapshot, source_id, t_start, t_end, use_time_index, stats
+    ):
+        bins = summary.bins_for(source_id, index.index_id)
         if use_chunk_index:
             stats.used_chunk_index = True
-            bins = summary.bins_for(source_id, index.index_id)
-            if not any(b in relevant_bins and bins[b].count > 0 for b in bins):
-                skipped += 1
-                stats.chunks_skipped += 1
-                continue
-        if not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
+        if use_chunk_index and not any(
+            b in relevant_bins and bins[b].count > 0 for b in bins
+        ):
+            stats.chunks_skipped += 1
+        elif not snapshot.record_log.chunk_index.is_scannable(summary.chunk_id):
             # Summary-only chunk: its raw bytes were dropped by retention,
             # so matching records cannot be materialized.
-            skipped += 1
             stats.chunks_skipped += 1
             stats.degraded = True
-            continue
-        scanned += 1
-        stats.chunks_scanned += 1
-        yield from _scan_region(
-            snapshot, summary.start_addr, summary.end_addr,
-            source_id, index, t_start, t_end, v_min, v_max, stats, copy=copy,
-        )
+        else:
+            regions.append((summary.start_addr, summary.end_addr))
+    stats.chunks_scanned += len(regions)
     if trace is not None:
-        trace.add("summary-prune", f"skipped {skipped}", count=examined)
-        trace.add("chunk-scan", f"value bins considered: {len(relevant_bins)}", count=scanned)
-
+        trace.add(
+            "summary-prune",
+            f"skipped {stats.chunks_skipped - skipped}",
+            count=stats.summaries_examined - examined,
+        )
+        trace.add(
+            "chunk-scan", f"value bins considered: {len(relevant_bins)}", count=len(regions)
+        )
     active_start, active_end = snapshot.active_region()
-    yield from _scan_region(
-        snapshot, active_start, active_end,
-        source_id, index, t_start, t_end, v_min, v_max, stats, copy=copy,
-    )
+    regions.append((active_start, active_end))
+    for start, end in regions:
+        batch = _scan_region(
+            snapshot, start, end, source_id, index, t_start, t_end, v_min, v_max, stats
+        )
+        if batch is not None:
+            yield batch
     if trace is not None:
         trace.add(
             "active-scan",
@@ -315,35 +473,60 @@ def indexed_scan(  # loomflow: borrows=scan
 
 def _candidate_summaries(
     snapshot: Snapshot,
+    source_id: int,
     t_start: int,
     t_end: int,
     use_time_index: bool,
     stats: QueryStats,
-) -> Iterator[ChunkSummary]:
-    """Summaries overlapping the time range, in chunk order.
+) -> Iterator[Tuple[ChunkSummary, SourceChunkInfo]]:
+    """``(summary, the source's info in it)`` for every chunk holding
+    records of the source inside the time range, in chunk order.  Every
+    summary looked at counts once in ``stats.summaries_examined``; one
+    without such records counts in ``stats.chunks_skipped``.
 
     With the time index this is a bisected window.  Without it, the query
     must discover the window by scanning summaries backward from the tail
     until it passes the range — cost proportional to lookback distance,
     which is the growth Figure 16 shows for the chunk-index-only ablation.
     """
+    if t_end < t_start:
+        return
+    candidates: Iterable[ChunkSummary]
     if use_time_index:
         stats.used_time_index = True
-        yield from snapshot.summaries_in_time_range(t_start, t_end)
-        return
-    collected: List[ChunkSummary] = []
-    chunk_index = snapshot.record_log.chunk_index
-    for i in range(snapshot.n_chunks - 1, -1, -1):
-        summary = chunk_index.get(i)
+        candidates = snapshot.summaries_in_time_range(t_start, t_end)
+    else:
+        collected: List[ChunkSummary] = []
+        chunk_index = snapshot.record_log.chunk_index
+        for i in range(snapshot.n_chunks - 1, -1, -1):
+            summary = chunk_index.get(i)
+            if chunk_index.state_at(i) == STATE_RETIRED or summary.t_min > t_end:
+                stats.summaries_examined += 1
+            elif summary.t_max < t_start:
+                stats.summaries_examined += 1
+                break
+            else:
+                collected.append(summary)  # counted below, as a candidate
+        candidates = reversed(collected)
+    for summary in candidates:
         stats.summaries_examined += 1
-        if chunk_index.state_at(i) == STATE_RETIRED:
-            continue
-        if summary.t_min > t_end:
-            continue
-        if summary.t_max < t_start:
-            break
-        collected.append(summary)
-    yield from reversed(collected)
+        info = summary.source_info(source_id)
+        if info is None or info.t_min > t_end or info.t_max < t_start:
+            stats.chunks_skipped += 1
+        else:
+            yield summary, info
+
+
+def index_values(index: IndexDefinition, batch: RecordBatch) -> np.ndarray:
+    """The indexed value of every row of ``batch``, as one float64 column.
+
+    The one place the read path evaluates an index: the value predicate,
+    the aggregate folds and the target-bin collection all consume this
+    column.  The index is an opaque callable over payload bytes, so this
+    is one call per row — the same ``np.fromiter`` the write side runs in
+    ``push_many``.
+    """
+    return np.fromiter(map(index.index_func, batch.payloads()), np.float64, len(batch))
 
 
 def _scan_region(
@@ -357,59 +540,44 @@ def _scan_region(
     v_min: float,
     v_max: float,
     stats: QueryStats,
-    copy: bool = True,
-) -> Iterator[Record]:
-    """Scan ``[start, end)`` filtering by source, time, and value.
+) -> Optional[RecordBatch]:
+    """Scan ``[start, end)`` filtering by source, time, and value; returns
+    the surviving rows in address order, or ``None`` when there are none.
 
-    The source and time predicates are evaluated as one vectorized mask
-    over the region's header columns; Python-level work (payload slicing,
-    the index UDF, ``Record`` construction) happens only for the records
-    that survive.  ``index=None`` skips the value predicate.
-
-    ``copy=False`` is the zero-copy mode for consumers that never retain
-    payloads past the iteration step (the aggregate operators): records
-    come out with memoryview payloads aliasing the scan buffer.
+    The source and time predicates are one vectorized mask over the
+    region's header columns; the survivors' payloads are gathered once
+    into an owned batch, and the value predicate runs on that batch's
+    value column.  ``index=None`` skips the value predicate.
     """
     columns = snapshot.region_columns(start, end, stats=stats)
     if columns is None:
-        return
+        return None
     stats.records_scanned += len(columns)
     if t_end < t_start or t_end < 0 or t_start > _U64_MAX:
-        return
-    # Clamp the time bounds into u64 so the comparison stays exact (mixed
-    # uint64/int comparisons would round-trip through float64).
-    lo = t_start if t_start > 0 else 0
-    hi = t_end if t_end < _U64_MAX else _U64_MAX
+        return None
     mask = columns.source_ids == source_id
     timestamps = columns.timestamps
-    if lo > 0:
-        mask &= timestamps >= np.uint64(lo)
-    mask &= timestamps <= np.uint64(hi)
-    matches = np.flatnonzero(mask)
-    if matches.size == 0:
-        return
-    buffer = columns.buffer
-    view = viewguard.as_view(buffer)
-    offsets = columns.offsets
-    lengths = columns.lengths
-    prev_addrs = columns.prev_addrs
-    func = index.index_func if index is not None else None
-    for i in matches.tolist():
-        offset = int(offsets[i])
-        payload_start = offset + HEADER_SIZE
-        payload = view[payload_start : payload_start + int(lengths[i])]
-        if func is not None:
-            value = func(viewguard.unwrap(payload))
-            if value < v_min or value > v_max:
-                continue
-        stats.records_matched += 1
-        yield Record(
-            source_id=source_id,
-            timestamp=int(timestamps[i]),
-            prev_addr=int(prev_addrs[i]),
-            payload=bytes(payload) if copy else payload,
-            address=start + offset,
-        )
+    # The time bounds are compared as u64 (clamped into range) so the
+    # comparison stays exact: mixed uint64/int comparisons would
+    # round-trip through float64.
+    if t_start > 0:
+        mask &= timestamps >= np.uint64(t_start)
+    mask &= timestamps <= np.uint64(min(t_end, _U64_MAX))
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        return None
+    batch = columns.batch(source_id, rows)
+    if index is not None:
+        values = index_values(index, batch)
+        # Written as "not outside" so a NaN value passes any range, as it
+        # does the scalar test ``value < v_min or value > v_max``.
+        keep = ~((values < v_min) | (values > v_max))
+        if not keep.all():
+            if not keep.any():
+                return None
+            batch = batch.take(keep)
+    stats.records_matched += len(batch)
+    return batch
 
 
 # ----------------------------------------------------------------------
@@ -425,8 +593,29 @@ class _StatsFold:
         for bin_stats in bins.values():
             self.total.merge(bin_stats)
 
-    def value(self, value: float, timestamp: int) -> None:
-        self.total.update(value, timestamp)
+    def values(self, values: np.ndarray, timestamps: np.ndarray) -> None:
+        """Fold a scanned batch's value column, bit for bit as one
+        ``BinStats.update`` per row would: the sum is a left-to-right
+        accumulation seeded with the running sum, and the strict min/max
+        comparisons are reductions except where a reduction cannot
+        reproduce them (a NaN, which they never let in, or a ``-0.0``,
+        whose tie with ``+0.0`` goes to whichever arrived first) — the
+        same fallback rule as ``add_indexed_values_array``."""
+        total = self.total
+        if bool(np.isnan(values).any()) or bool(
+            ((values == 0.0) & np.signbit(values)).any()
+        ):
+            for value, timestamp in zip(values.tolist(), timestamps.tolist()):
+                total.update(value, timestamp)
+            return
+        if total.count == 0:
+            total.t_min = int(timestamps[0])
+        total.count += len(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, as floats do
+            total.sum = float(np.cumsum(np.concatenate(((total.sum,), values)))[-1])
+        total.min = min(total.min, float(values.min()))
+        total.max = max(total.max, float(values.max()))
+        total.t_max = int(timestamps[-1])
 
 
 class _CountFold:
@@ -441,43 +630,29 @@ class _CountFold:
         for bin_idx, bin_stats in bins.items():
             counts[bin_idx] = counts.get(bin_idx, 0) + bin_stats.count
 
-    def value(self, value: float, timestamp: int) -> None:
-        b = self.spec.bin_of(value)
-        self.counts[b] = self.counts.get(b, 0) + 1
+    def values(self, values: np.ndarray, timestamps: np.ndarray) -> None:
+        self._count(self.spec.bins_of(values))
+
+    def _count(self, bins: np.ndarray) -> None:
+        counts = self.counts
+        binned = np.bincount(bins)
+        for bin_idx in np.flatnonzero(binned).tolist():
+            counts[bin_idx] = counts.get(bin_idx, 0) + int(binned[bin_idx])
 
 
 class _RetainFold(_CountFold):
-    """Percentile fold: bin counts, with every scanned value retained per
-    bin so collecting the target bin never re-reads a scanned region."""
+    """Percentile fold: bin counts, with every scanned value column kept
+    beside its bin column so collecting the target bin never re-reads a
+    scanned region."""
 
     def __init__(self, spec: HistogramSpec) -> None:
         super().__init__(spec)
-        self.retained: Dict[int, List[float]] = {}
+        self.retained: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def value(self, value: float, timestamp: int) -> None:
-        b = self.spec.bin_of(value)
-        self.counts[b] = self.counts.get(b, 0) + 1
-        self.retained.setdefault(b, []).append(value)
-
-
-def _scan_values(
-    snapshot: Snapshot,
-    start: int,
-    end: int,
-    source_id: int,
-    index: IndexDefinition,
-    t_start: int,
-    t_end: int,
-    stats: QueryStats,
-) -> Iterator[Tuple[float, int]]:
-    """``(indexed value, timestamp)`` of each of the source's records in
-    ``[start, end)`` that falls inside the time range."""
-    func = index.index_func
-    for record in _scan_region(
-        snapshot, start, end, source_id, None,
-        t_start, t_end, NEG_INF, POS_INF, stats, copy=False,
-    ):
-        yield func(viewguard.unwrap(record.payload)), record.timestamp
+    def values(self, values: np.ndarray, timestamps: np.ndarray) -> None:
+        bins = self.spec.bins_of(values)
+        self._count(bins)
+        self.retained.append((bins, values))
 
 
 def _fold_range(
@@ -497,15 +672,19 @@ def _fold_range(
     Chunks whose records of the source lie fully inside the time range
     hand their bin statistics to ``fold.bins`` without being read; chunks
     straddling a range edge and the unsummarized active region are
-    scanned, one ``fold.value`` per matching record.  Returns the
-    summaries answered from bins (the candidates of a target-bin scan).
+    scanned, one ``fold.values`` per region that has matching records.
+    Returns the summaries answered from bins (the candidates of a
+    target-bin scan).
     """
     full_summaries: List[ChunkSummary] = []
     regions: List[Tuple[int, int]] = []
-    for summary, full in _classified_summaries(
+    for summary, info in _candidate_summaries(
         snapshot, source_id, t_start, t_end, use_time_index, stats
     ):
-        if full and use_chunk_index:
+        # Judged on the *source's* time range within the chunk: when every
+        # one of its records there is inside the query range, the chunk's
+        # bin statistics answer for it without a scan.
+        if use_chunk_index and t_start <= info.t_min and info.t_max <= t_end:
             stats.used_chunk_index = True
             stats.summaries_aggregated += 1
             full_summaries.append(summary)
@@ -523,10 +702,12 @@ def _fold_range(
     active_start, active_end = snapshot.active_region()
     regions.append((active_start, active_end))
     for start, end in regions:
-        for value, timestamp in _scan_values(
-            snapshot, start, end, source_id, index, t_start, t_end, stats
-        ):
-            fold.value(value, timestamp)
+        batch = _scan_region(
+            snapshot, start, end, source_id, None,
+            t_start, t_end, NEG_INF, POS_INF, stats,
+        )
+        if batch is not None:
+            fold.values(index_values(index, batch), batch.timestamps)
     if trace is not None:
         aggregated = len(full_summaries)
         trace.add(
@@ -554,12 +735,12 @@ def _collect_bin(
     full_summaries: List[ChunkSummary],
     stats: QueryStats,
     trace: Optional[QueryTrace],
-) -> List[float]:
+) -> np.ndarray:
     """Exact values of one bin, ascending: what :func:`_fold_range`
     retained while scanning, plus a scan of each fully-covered chunk that
     has records in the bin."""
     spec = index.spec
-    values = list(fold.retained.get(target_bin, ()))
+    parts = [values[bins == target_bin] for bins, values in fold.retained]
     bin_scans = 0
     for summary in full_summaries:
         bin_stats = summary.bins_for(source_id, index.index_id).get(target_bin)
@@ -573,26 +754,25 @@ def _collect_bin(
             # and the result is flagged approximate (degraded).
             stats.degraded = True
             stats.chunks_skipped += 1
-            values.extend([bin_stats.sum / bin_stats.count] * bin_stats.count)
+            parts.append(np.full(bin_stats.count, bin_stats.sum / bin_stats.count))
             continue
         bin_scans += 1
         stats.chunks_scanned += 1
-        values.extend(
-            value
-            for value, _ in _scan_values(
-                snapshot, summary.start_addr, summary.end_addr,
-                source_id, index, t_start, t_end, stats,
-            )
-            if spec.bin_of(value) == target_bin
+        batch = _scan_region(
+            snapshot, summary.start_addr, summary.end_addr, source_id, None,
+            t_start, t_end, NEG_INF, POS_INF, stats,
         )
+        if batch is not None:
+            values = index_values(index, batch)
+            parts.append(values[spec.bins_of(values) == target_bin])
+    collected = np.sort(np.concatenate(parts)) if parts else np.empty(0)
     if trace is not None:
         trace.add(
             "bin-scan",
-            f"{len(values)} values collected in target bin",
+            f"{len(collected)} values collected in target bin",
             count=bin_scans,
         )
-    values.sort()
-    return values
+    return collected
 
 
 def indexed_aggregate(
@@ -689,7 +869,7 @@ def indexed_aggregate(
     )
     k = rank - cumulative  # 1-based order statistic within the target bin
     assert 1 <= k <= len(values), (k, len(values), rank, cumulative)
-    result.value = values[k - 1]
+    result.value = float(values[k - 1])
     result.count = total_count
     return result
 
@@ -746,33 +926,8 @@ def bin_values(
     full_summaries = _fold_range(
         snapshot, source_id, index, t_start, t_end, True, True, stats, None, fold,
     )
-    return _collect_bin(
+    values: List[float] = _collect_bin(
         snapshot, source_id, index, t_start, t_end, bin_idx,
         fold, full_summaries, stats, None,
-    )
-
-
-def _classified_summaries(
-    snapshot: Snapshot,
-    source_id: int,
-    t_start: int,
-    t_end: int,
-    use_time_index: bool,
-    stats: QueryStats,
-) -> Iterator[Tuple[ChunkSummary, bool]]:
-    """Yield ``(summary, fully_inside)`` for chunks relevant to the query.
-
-    ``fully_inside`` is judged on the *source's* time range within the
-    chunk: if every one of the source's records in the chunk falls inside
-    the query range, its bin statistics can be used without a scan.
-    """
-    if t_end < t_start:
-        return
-    for summary in _candidate_summaries(snapshot, t_start, t_end, use_time_index, stats):
-        stats.summaries_examined += 1
-        info = summary.source_info(source_id)
-        if info is None or info.t_min > t_end or info.t_max < t_start:
-            stats.chunks_skipped += 1
-            continue
-        full = t_start <= info.t_min and info.t_max <= t_end
-        yield summary, full
+    ).tolist()
+    return values

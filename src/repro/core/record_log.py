@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import viewguard
 from .archive import ArchiveLog, ChunkMigrator, MigrationReport, RetentionReport
@@ -109,6 +110,127 @@ class RegionColumns:
         """Record ``i``'s payload, sliced in place from the region buffer."""
         off = int(self.offsets[i]) + HEADER_SIZE
         return self.buffer[off : off + int(self.lengths[i])]
+
+    def batch(self, source_id: int, rows: np.ndarray) -> "RecordBatch":
+        """The records at ``rows`` as an owned batch, in ``rows`` order.
+
+        This is where a scan stops borrowing: the payloads are copied out
+        of the region buffer once, so the batch survives the region being
+        truncated, recycled by a migration pass or evicted from the
+        archive cache.
+        """
+        raw = np.frombuffer(viewguard.unwrap(self.buffer), np.uint8)
+        bounds, blob = gather_payloads(
+            raw, self.offsets[rows] + HEADER_SIZE, self.lengths[rows]
+        )
+        return RecordBatch(
+            source_id=source_id,
+            timestamps=self.timestamps[rows],
+            addresses=self.offsets[rows] + self.start,
+            prev_addrs=self.prev_addrs[rows],
+            bounds=bounds,
+            blob=blob,
+        )
+
+
+def gather_payloads(
+    raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, bytes]:
+    """Copy ``raw[starts[i] : starts[i] + lengths[i]]`` for every ``i`` into
+    one owned blob; returns ``(bounds, blob)`` with payload ``i`` at
+    ``blob[bounds[i] : bounds[i + 1]]``.
+
+    Equal lengths (telemetry records are fixed-size per source) are one
+    row gather over a sliding window of the buffer; mixed lengths build
+    the byte index with a repeat.
+    """
+    n = len(starts)
+    bounds = np.zeros(n + 1, np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    total = int(bounds[-1])
+    if total == 0:
+        return bounds, b""
+    width = total // n
+    if bool((lengths == width).all()):
+        return bounds, sliding_window_view(raw, width)[starts].tobytes()
+    index = np.repeat(starts - bounds[:-1], lengths) + np.arange(total)
+    return bounds, raw[index].tobytes()
+
+
+@dataclass
+class RecordBatch:
+    """Rows of one source that survived a scan's predicates, as columns.
+
+    The unit of the read path: operators filter, fold and serialise
+    batches, and a :class:`~repro.core.record.Record` exists only when a
+    caller asks for one.  Everything here is owned: the payloads were
+    copied out of the scanned region into ``blob`` once.
+    """
+
+    source_id: int
+    timestamps: np.ndarray
+    addresses: np.ndarray
+    prev_addrs: np.ndarray
+    #: Payload ``i`` is ``blob[bounds[i] : bounds[i + 1]]``.
+    bounds: np.ndarray
+    blob: bytes
+
+    @classmethod
+    def from_records(cls, source_id: int, records: Sequence[Record]) -> "RecordBatch":
+        """Batch form of records decoded one at a time (the pointer walk)."""
+        bounds = np.zeros(len(records) + 1, np.int64)
+        np.cumsum([len(r.payload) for r in records], out=bounds[1:])
+        return cls(
+            source_id=source_id,
+            timestamps=np.array([r.timestamp for r in records], np.uint64),
+            addresses=np.array([r.address for r in records], np.uint64),
+            prev_addrs=np.array([r.prev_addr for r in records], np.uint64),
+            bounds=bounds,
+            blob=b"".join(bytes(r.payload) for r in records),
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def payloads(self) -> List[bytes]:
+        """Every payload, in row order."""
+        blob = self.blob
+        bounds = self.bounds.tolist()
+        return [blob[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def record(self, i: int) -> Record:
+        return Record(
+            source_id=self.source_id,
+            timestamp=int(self.timestamps[i]),
+            prev_addr=int(self.prev_addrs[i]),
+            payload=self.blob[int(self.bounds[i]) : int(self.bounds[i + 1])],
+            address=int(self.addresses[i]),
+        )
+
+    def __iter__(self) -> Iterator[Record]:
+        source_id = self.source_id
+        for timestamp, prev_addr, payload, address in zip(
+            self.timestamps.tolist(),
+            self.prev_addrs.tolist(),
+            self.payloads(),
+            self.addresses.tolist(),
+        ):
+            yield Record(source_id, timestamp, prev_addr, payload, address)
+
+    def take(self, rows: np.ndarray) -> "RecordBatch":
+        """The rows selected by an index or boolean array, in that order."""
+        starts = self.bounds[:-1][rows]
+        bounds, blob = gather_payloads(
+            np.frombuffer(self.blob, np.uint8), starts, self.bounds[1:][rows] - starts
+        )
+        return RecordBatch(
+            source_id=self.source_id,
+            timestamps=self.timestamps[rows],
+            addresses=self.addresses[rows],
+            prev_addrs=self.prev_addrs[rows],
+            bounds=bounds,
+            blob=blob,
+        )
 
 
 @dataclass
@@ -996,23 +1118,19 @@ class RecordLog:
         verify = self._verify_on_read
         first_len = unpack_len(raw_buffer, 20)[0]
         stride = HEADER_SIZE + first_len
-        offsets: Optional[np.ndarray] = None
+        headers: Optional[np.ndarray] = None
         if size % stride == 0 and not verify:
             # Fixed-size fast path, validated inductively: offset 0 is a
             # header; if its length is ``first_len`` the next header is at
             # ``stride``; requiring every candidate's length field to
             # equal ``first_len`` proves every candidate is a real header.
-            cand = np.arange(0, size, stride, dtype=np.int64)
-            lens = (
-                raw[(cand[:, None] + np.arange(20, 24)).ravel()]
-                .reshape(-1, 4)
-                .copy()
-                .view(np.uint32)
-                .ravel()
-            )
-            if bool((lens == first_len).all()):
-                offsets = cand
-        if offsets is None:
+            # The candidates are the rows of the region seen as a
+            # ``stride``-wide table, so one strided copy takes them all.
+            table = np.ascontiguousarray(raw.reshape(-1, stride)[:, :BODY_SIZE])
+            if bool((table.view(BODY_DTYPE)["len"] == first_len).all()):
+                headers = table
+                offsets = np.arange(0, size, stride, dtype=np.int64)
+        if headers is None:
             offs: List[int] = []
             pos = 0
             while pos < size:
@@ -1026,10 +1144,9 @@ class RecordLog:
                 offs.append(pos)
                 pos += HEADER_SIZE + length
             offsets = np.array(offs, dtype=np.int64)
-        n = len(offsets)
-        headers = raw[
-            (offsets[:, None] + np.arange(BODY_SIZE)).ravel()
-        ].reshape(n, BODY_SIZE)
+            headers = raw[
+                (offsets[:, None] + np.arange(BODY_SIZE)).ravel()
+            ].reshape(-1, BODY_SIZE)
         # The column arrays are handed to callers: freeze them (before
         # taking the struct view, so the view inherits read-onlyness) so
         # nobody can mutate what look like private scratch arrays.
@@ -1037,7 +1154,7 @@ class RecordLog:
         offsets.flags.writeable = False
         bodies = headers.view(BODY_DTYPE).ravel()
         if stats is not None:
-            stats.records_decoded += n
+            stats.records_decoded += len(offsets)
         return RegionColumns(
             start=start,
             source_ids=bodies["sid"],

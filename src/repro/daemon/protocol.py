@@ -40,9 +40,12 @@ import struct
 from dataclasses import asdict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.errors import TransportError
-from ..core.operators import QueryResult, QueryStats
+from ..core.operators import QueryResult, QueryStats, Records
 from ..core.record import Record
+from ..core.record_log import RecordBatch, gather_payloads
 
 #: Frame and header length prefixes.
 LEN_PREFIX = struct.Struct(">I")
@@ -156,41 +159,76 @@ def unpack_payloads(sizes: Iterable[int], body: bytes) -> List[bytes]:
 # ----------------------------------------------------------------------
 # Scan result bodies
 # ----------------------------------------------------------------------
+#: One scan-body entry header as a numpy row (``RECORD_ENTRY``'s layout).
+_ENTRY_DTYPE = np.dtype([("ts", ">u8"), ("addr", ">u8"), ("len", ">u4")])
+assert _ENTRY_DTYPE.itemsize == RECORD_ENTRY.size
+
+
 def pack_records(records: Sequence[Record]) -> bytes:
-    """Serialize scan results: per record, timestamp/address/len + payload."""
-    parts: List[bytes] = []
-    for record in records:
-        payload = bytes(record.payload)
-        parts.append(
-            RECORD_ENTRY.pack(record.timestamp, record.address, len(payload))
-        )
-        parts.append(payload)
-    return b"".join(parts)
+    """Serialize scan results: per record, timestamp/address/len + payload.
+
+    A :class:`~repro.core.operators.Records` result is packed straight
+    from its batch columns — two scatters per batch, no ``Record`` built.
+    """
+    if not isinstance(records, Records):
+        records = Records([RecordBatch.from_records(0, records)] if records else [])
+    return b"".join(_pack_batch(batch) for batch in records.batches)
 
 
-def unpack_records(body: bytes, source_id: int = 0) -> List[Record]:
-    """Decode scan results.  The wire does not carry back-pointers (they
-    are meaningless off-host), so ``prev_addr`` is zeroed."""
-    out: List[Record] = []
+def _pack_batch(batch: RecordBatch) -> bytes:
+    n = len(batch)
+    bounds = batch.bounds
+    lengths = np.diff(bounds)
+    entries = np.empty(n, _ENTRY_DTYPE)
+    entries["ts"] = batch.timestamps
+    entries["addr"] = batch.addresses
+    entries["len"] = lengths
+    # Entry i sits after i headers and the payloads before it.
+    starts = bounds[:-1] + RECORD_ENTRY.size * np.arange(n)
+    out = np.empty(int(bounds[-1]) + RECORD_ENTRY.size * n, np.uint8)
+    out[(starts[:, None] + np.arange(RECORD_ENTRY.size)).ravel()] = entries.view(np.uint8)
+    shift = starts + RECORD_ENTRY.size - bounds[:-1]
+    out[np.repeat(shift, lengths) + np.arange(int(bounds[-1]))] = np.frombuffer(
+        batch.blob, np.uint8
+    )
+    return out.tobytes()
+
+
+def unpack_records(body: bytes, source_id: int = 0) -> Records:
+    """Decode scan results into the same lazy sequence a local scan
+    returns.  The wire does not carry back-pointers (they are meaningless
+    off-host), so ``prev_addr`` is zeroed."""
+    starts: List[int] = []
     pos = 0
     while pos < len(body):
         if pos + RECORD_ENTRY.size > len(body):
             raise TransportError("torn record entry in scan body")
-        timestamp, address, length = RECORD_ENTRY.unpack_from(body, pos)
-        pos += RECORD_ENTRY.size
-        if pos + length > len(body):
+        starts.append(pos)
+        pos += RECORD_ENTRY.size + RECORD_ENTRY.unpack_from(body, pos)[2]
+        if pos > len(body):
             raise TransportError("record payload shorter than announced")
-        out.append(
-            Record(
+    if not starts:
+        return Records(())
+    raw = np.frombuffer(body, np.uint8)
+    offsets = np.array(starts, np.int64)
+    entries = raw[(offsets[:, None] + np.arange(RECORD_ENTRY.size)).ravel()].view(
+        _ENTRY_DTYPE
+    )
+    bounds, blob = gather_payloads(
+        raw, offsets + RECORD_ENTRY.size, entries["len"].astype(np.int64)
+    )
+    return Records(
+        [
+            RecordBatch(
                 source_id=source_id,
-                timestamp=timestamp,
-                prev_addr=0,
-                payload=body[pos:pos + length],
-                address=address,
+                timestamps=entries["ts"].astype(np.uint64),
+                addresses=entries["addr"].astype(np.uint64),
+                prev_addrs=np.zeros(len(starts), np.uint64),
+                bounds=bounds,
+                blob=blob,
             )
-        )
-        pos += length
-    return out
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +328,7 @@ def result_from_wire(header: Dict[str, object], body: bytes) -> QueryResult:
     values: Optional[List[float]] = None
     if isinstance(values_raw, list):
         values = [_wire_float(v, "values entry") for v in values_raw]
-    records: Optional[List[Record]] = None
+    records: Optional[Records] = None
     if "records" in header:
         announced = _wire_int(header["records"], "record count")
         records = unpack_records(body)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import HistogramSpec, Loom, LoomConfig, QueryStats, VirtualClock
 from repro.core.clock import seconds
-from repro.core.operators import indexed_scan, raw_scan
+from repro.core.operators import indexed_aggregate, indexed_scan, raw_scan
 from repro.workloads import events, latency_stream
 
 
@@ -80,6 +80,30 @@ class TestFigure16Ablation:
         _, with_time = run_scan(loom, index_id, self.WINDOW, True, True)
         _, without_time = run_scan(loom, index_id, self.WINDOW, False, True)
         assert with_time.summaries_examined < without_time.summaries_examined
+
+    def test_summaries_examined_counts_each_summary_once(self, long_stream_loom):
+        """Without the time index the window is found by walking summaries
+        back from the tail; each one looked at counts once, whether or not
+        it then overlaps the window (it used to count again when it did)."""
+        loom, index_id, clock = long_stream_loom
+        snap = loom.snapshot()
+        index = loom.record_log.chunk_index
+        visited = 0
+        for i in range(snap.n_chunks - 1, -1, -1):
+            visited += 1
+            if index.get(i).t_max < self.WINDOW[0]:
+                break
+        assert visited < snap.n_chunks  # the walk stops once past the window
+        _, scan_stats = run_scan(loom, index_id, self.WINDOW, False, True)
+        assert scan_stats.summaries_examined == visited
+        aggregate_stats = indexed_aggregate(
+            snap, events.SRC_SYSCALL, loom.record_log.get_index(index_id),
+            self.WINDOW[0], self.WINDOW[1], "count", use_time_index=False,
+        ).stats
+        assert aggregate_stats.summaries_examined == visited
+        _, with_time = run_scan(loom, index_id, self.WINDOW, True, True)
+        overlapping = sum(1 for _ in snap.summaries_in_time_range(*self.WINDOW))
+        assert with_time.summaries_examined == overlapping
 
     def test_no_index_work_grows_with_lookback(self, long_stream_loom):
         """Figure 16's 'no indexes' curve: a chain walk from the tail costs

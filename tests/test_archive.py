@@ -309,6 +309,38 @@ class TestViewsAcrossMigration:
         finally:
             viewguard.deactivate()
 
+    def test_query_results_taken_before_migration_stay_readable(self, tmp_path):
+        """The other half of the contract: what a *query* hands out is an
+        owned batch (payloads copied out of the region once), so results
+        taken before a migration pass recycles their region still yield
+        every payload afterwards — no StaleViewError, guard on."""
+        from repro.core import viewguard
+
+        viewguard.activate()
+        try:
+            cfg = _tiered_config(
+                tmp_path, tier=TierConfig(migrate_high_watermark=64, auto_migrate=False)
+            )
+            clock = VirtualClock(1_000)
+            loom = Loom(cfg, clock=clock)
+            index_ids = _fill(loom, clock)
+            scanned = loom.scan(1, ALL_TIME).records
+            indexed = loom.scan_indexed(1, index_ids[1], ALL_TIME, (10.0, 60.0)).records
+            newest = scanned[0]  # a Record built before the recycle...
+            assert loom.migrate(force=True).chunks_migrated > 0
+            assert scanned[-1].address < loom.record_log.cold_boundary
+            # ...and Records built after it, from the same batches.
+            assert scanned[0] == newest
+            assert [bytes(r.payload) for r in scanned] == [
+                bytes(r.payload) for r in loom.scan(1, ALL_TIME).records
+            ]
+            assert list(indexed) == list(
+                loom.scan_indexed(1, index_ids[1], ALL_TIME, (10.0, 60.0)).records
+            )
+            loom.close()
+        finally:
+            viewguard.deactivate()
+
 
 # ----------------------------------------------------------------------
 # Retention

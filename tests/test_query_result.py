@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core import LoomConfig
+from repro.core import Loom, LoomConfig, Record, record_log
 from repro.core.errors import LoomError
+from repro.core.operators import Records
 from repro.daemon.monitor import MonitoringDaemon
+
+from conftest import value_payload
 
 EVERYTHING = (0, 2**62)
 
@@ -47,6 +50,66 @@ class TestQueryResultSurface:
         assert "summary-prune" in where.trace.stages()
         assert any("scan" in s for s in where.trace.stages())
         assert loom.scan(source_id, EVERYTHING).trace is None  # opt-in
+
+
+class TestLazyRecords:
+    """``QueryResult.records`` is a lazy sequence over column batches."""
+
+    @pytest.fixture
+    def big(self, clock):
+        loom = Loom(LoomConfig(chunk_size=8192, record_block_size=1 << 16), clock=clock)
+        loom.define_source(1)
+        for start in range(0, 10_000, 500):
+            clock.advance(1000)
+            loom.push_many(1, [value_payload(float(i)) for i in range(start, start + 500)])
+        loom.sync()
+        yield loom
+        loom.close()
+
+    def test_len_and_ends_build_only_the_records_asked_for(self, big, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return Record(*args, **kwargs)
+
+        records = big.scan(1, EVERYTHING).records
+        # The scan itself reads exactly one record by pointer (the seek).
+        monkeypatch.setattr(record_log, "Record", counting)
+        assert isinstance(records, Records)
+        assert len(records) == 10_000 and records
+        assert built == []
+        first, last = records[0], records[-1]
+        assert len(built) == 2
+        assert first.payload == value_payload(9999.0)  # newest first
+        assert last.payload == value_payload(0.0)
+        assert isinstance(first.payload, bytes)
+        assert [r.payload for r in records[10:13]] == [
+            value_payload(float(v)) for v in (9989, 9988, 9987)
+        ]
+        assert len(built) == 5
+        with pytest.raises(IndexError):
+            records[10_000]
+        with pytest.raises(IndexError):
+            records[-10_001]
+
+    def test_behaves_like_the_list_it_replaces(self, big):
+        records = big.scan(1, (3000, 5000)).records
+        as_list = list(records)
+        assert len(as_list) == len(records) == 1500
+        assert records == as_list and as_list == records
+        assert records != as_list[:-1]
+        assert [records[i] for i in (0, 7, -1)] == [as_list[i] for i in (0, 7, -1)]
+        assert records[::-1] == as_list[::-1]
+        assert as_list[3] in records
+        assert big.scan(1, (1, 2)).records == []
+        assert not big.scan(1, (1, 2)).records
+
+    def test_streaming_func_sees_the_same_records(self, big):
+        seen = []
+        result = big.scan(1, (3000, 5000), func=seen.append)
+        assert result.records is None and result.count == 1500
+        assert seen == list(big.scan(1, (3000, 5000)).records)
 
 
 class TestResolveSource:

@@ -215,6 +215,9 @@ READER_ROOTS = (
     "repro.core.record_log.RecordLog.active_region_start",
     "repro.core.record_log.RecordLog.region_columns",
     "repro.core.record_log.RecordLog._region_buffer",
+    "repro.core.record_log.RegionColumns.batch",
+    "repro.core.record_log.RecordBatch.*",
+    "repro.core.record_log.gather_payloads",
     "repro.core.chunk_index.ChunkIndex.summaries_in_time_range",
     "repro.core.chunk_index.ChunkIndex.summary_for_chunk",
     "repro.core.chunk_index.ChunkIndex.get",
@@ -223,7 +226,10 @@ READER_ROOTS = (
     "repro.core.timestamp_index.TimestampIndex.last_record_before",
     "repro.core.timestamp_index.TimestampIndex.chunk_id_window",
     "repro.core.operators.raw_scan",
+    "repro.core.operators.raw_scan_batches",
     "repro.core.operators.indexed_scan",
+    "repro.core.operators.indexed_scan_batches",
+    "repro.core.operators.index_values",
     "repro.core.operators.indexed_aggregate",
     "repro.core.operators.bin_histogram",
     "repro.core.operators.bin_values",
