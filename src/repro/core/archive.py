@@ -13,10 +13,12 @@ range pays a decompression.  This module implements that trade
   zlib-compressed; payloads are concatenated into a separate blob,
   byte-transposed when every record in the chunk has the same payload
   width (a shuffle filter: fixed-width telemetry payloads compress far
-  better column-of-bytes-wise), and zlib-compressed.  Decoding
-  reconstructs the *byte-identical* original chunk region — including
-  each record's CRC — so every existing read path works unchanged on the
-  decompressed buffer.
+  better column-of-bytes-wise), and zlib-compressed.  Decoding yields
+  the chunk's :class:`~repro.core.record_log.RegionColumns` directly,
+  with whole-array numpy over the varint streams, so queries filter a
+  cold chunk exactly as they filter a hot one and no record is
+  re-framed.  The byte-identical region (CRCs included) is rebuilt from
+  those columns only for the reference decoder (:func:`encode_region`).
 * **Archive log** — an append-only file of CRC-framed entries with the
   same sidecar frame-journal scheme as the hot logs.  ``DATA`` frames
   carry one compressed chunk; a ``RECYCLE`` frame *ratifies* all data
@@ -34,7 +36,10 @@ range pays a decompression.  This module implements that trade
 Reader-path discipline: decompressed chunk reads are reachable from
 query threads (``RecordLog.read_record`` is a loomlint LOOM101 reader
 root), so this module's read side takes no locks — the chunk cache uses
-only GIL-atomic dict operations and tolerates racy evictions.
+only GIL-atomic dict operations and tolerates racy evictions.  A frame
+damaged after it was ratified surfaces as a typed
+:class:`~repro.core.errors.CorruptionError` naming the chunk's start
+address, never as a bare ``zlib.error`` or ``IndexError``.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .storage import Storage
 if TYPE_CHECKING:  # avoid an import cycle: record_log imports this module
     from .config import TierConfig
     from .operators import QueryStats
-    from .record_log import RecordLog
+    from .record_log import RecordLog, RegionColumns
 
 __all__ = [
     "ArchiveLog",
@@ -68,6 +73,8 @@ __all__ = [
     "RetentionReport",
     "encode_chunk_streams",
     "decode_chunk_region",
+    "decode_frame",
+    "encode_region",
     "iter_region_records",
 ]
 
@@ -95,9 +102,13 @@ _NULL = 0xFFFF_FFFF_FFFF_FFFF
 #: zlib level for both streams of every ``DATA`` frame.
 COMPRESSION_LEVEL = 6
 
-#: Decompressed chunks kept in the read cache (one owned ``chunk_size``
-#: buffer each).
+#: Decoded chunks kept in the read cache (each the chunk's columns over
+#: its owned payload blob: about one ``chunk_size`` of memory).
 CACHE_CHUNKS = 4
+
+#: Longest LEB128 varint a u64 column can need; the zigzagged
+#: delta-of-delta of two u64 timestamps needs all of it (up to 66 bits).
+_MAX_VARINT = 10
 
 
 # ----------------------------------------------------------------------
@@ -110,24 +121,9 @@ def _put_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
-def _get_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-
-
 def _zigzag(value: int) -> int:
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
 
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
 # ----------------------------------------------------------------------
@@ -229,71 +225,61 @@ def decode_chunk_region(
     record_count: int,
     raw_len: int,
     flags: int,
-) -> bytes:
-    """Rebuild the byte-identical original chunk region from its streams.
+) -> "RegionColumns":
+    """The chunk's records as columns over its owned, un-transposed
+    payload blob, decoded whole-array from the streams.
 
-    Re-frames every record through :func:`~repro.core.record.encode_record`
-    (framing and CRC are deterministic functions of the columns), so the
-    result can serve every existing read path unchanged.
+    Varint terminators are the bytes below ``0x80``, and each value is
+    one ``np.add.reduceat`` of its shifted 7-bit groups.  Timestamps are
+    the first value plus two ``cumsum``s of the un-zigzagged
+    delta-of-deltas (u64 arithmetic wraps exactly as the original values
+    did); offsets are a ``cumsum`` of ``HEADER_SIZE + length``; each back
+    pointer is ``address - back``.  Raises :class:`CorruptionError` when
+    the stream is not ``1 + 4n`` well-formed varints or disagrees with
+    the frame header.
     """
-    pos = 0
-    count, pos = _get_varint(header_stream, pos)
-    if count != record_count:
+    from .record_log import RegionColumns  # record_log imports this module
+
+    n = record_count
+    raw = np.frombuffer(header_stream, np.uint8)
+    ends = np.flatnonzero(raw < 0x80)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts + 1
+    if len(ends) != 1 + 4 * n or ends[-1] != len(raw) - 1 or widths.max() > _MAX_VARINT:
         raise CorruptionError(
-            f"archive frame record count mismatch ({count} != {record_count})",
+            f"archive header stream is not {1 + 4 * n} varints", address=start_addr
+        )
+    shifts = 7 * (np.arange(len(raw)) - np.repeat(starts, widths))
+    low = np.add.reduceat((raw & 0x7F).astype(np.uint64) << shifts.astype(np.uint64), starts)
+    lengths = low[1 + 3 * n :].astype(np.uint32)
+    sizes = lengths + np.int64(HEADER_SIZE)
+    if low[0] != n or sizes.sum() != raw_len or lengths.sum() != len(payload_blob):
+        raise CorruptionError(
+            f"archive streams disagree with their frame ({n} records, {raw_len} bytes)",
             address=start_addr,
         )
-    sids: List[int] = []
-    for _ in range(count):
-        sid, pos = _get_varint(header_stream, pos)
-        sids.append(sid)
-    timestamps: List[int] = []
-    prev_ts = 0
-    prev_delta = 0
-    for i in range(count):
-        if i == 0:
-            prev_ts, pos = _get_varint(header_stream, pos)
-            timestamps.append(prev_ts)
-        else:
-            dod, pos = _get_varint(header_stream, pos)
-            prev_delta += _unzigzag(dod)
-            prev_ts += prev_delta
-            timestamps.append(prev_ts)
-    backs: List[int] = []
-    for _ in range(count):
-        back, pos = _get_varint(header_stream, pos)
-        backs.append(back)
-    lengths: List[int] = []
-    for _ in range(count):
-        length, pos = _get_varint(header_stream, pos)
-        lengths.append(length)
-
-    if flags & FLAG_TRANSPOSED and count > 0:
-        width = len(payload_blob) // count
+    zigzag = low[2 + n : 1 + 2 * n]
+    # A 10-byte varint's bits past 63 are its last group's; bit 64 of a
+    # zigzagged delta-of-delta is bit 63 of its half.
+    bit64 = (widths[2 + n : 1 + 2 * n] == _MAX_VARINT) & (raw[ends[2 + n : 1 + 2 * n]] >> 1)
+    dod = ((zigzag >> 1) | (bit64.astype(np.uint64) << 63)) ^ (np.uint64(0) - (zigzag & 1))
+    offsets = np.cumsum(sizes) - sizes
+    backs = low[1 + 2 * n : 1 + 3 * n]
+    if flags & FLAG_TRANSPOSED and n > 0:
         payload_blob = (
-            np.frombuffer(payload_blob, dtype=np.uint8)
-            .reshape(width, count)
-            .T.tobytes()
+            np.frombuffer(payload_blob, np.uint8).reshape(int(lengths[0]), n).T.tobytes()
         )
-
-    parts: List[bytes] = []
-    address = start_addr
-    payload_offset = 0
-    for i in range(count):
-        length = lengths[i]
-        payload = payload_blob[payload_offset : payload_offset + length]
-        payload_offset += length
-        prev_addr = _NULL if backs[i] == 0 else address - backs[i]
-        encoded = encode_record(sids[i], timestamps[i], prev_addr, payload)
-        parts.append(encoded)
-        address += len(encoded)
-    region = b"".join(parts)
-    if len(region) != raw_len:
-        raise CorruptionError(
-            f"archive frame decoded to {len(region)} bytes, expected {raw_len}",
-            address=start_addr,
-        )
-    return region
+    columns = (
+        low[1 : 1 + n].astype(np.uint32),
+        np.cumsum(np.concatenate((low[1 + n : 2 + n], np.cumsum(dod)))),
+        np.where(backs == 0, np.uint64(_NULL), offsets.astype(np.uint64) + start_addr - backs),
+        lengths,
+        offsets,
+        np.cumsum(lengths, dtype=np.int64) - lengths,
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return RegionColumns(start_addr, *columns, buffer=bytes(payload_blob))
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +298,7 @@ class ArchiveEntry:
         "payload_len",
         "raw_len",
         "flags",
+        "crc",
         "retired",
     )
 
@@ -326,6 +313,7 @@ class ArchiveEntry:
         payload_len: int,
         raw_len: int,
         flags: int,
+        crc: int,
     ) -> None:
         self.chunk_id = chunk_id
         self.start_addr = start_addr
@@ -336,11 +324,51 @@ class ArchiveEntry:
         self.payload_len = payload_len
         self.raw_len = raw_len
         self.flags = flags
+        #: The frame's stored ``crc32(streams)``, checked on every inflate.
+        self.crc = crc
         self.retired = False
 
     @property
     def compressed_len(self) -> int:
         return self.header_len + self.payload_len
+
+
+def decode_frame(storage: Storage, entry: ArchiveEntry) -> "RegionColumns":
+    """Read one ``DATA`` frame, check its stream CRC, inflate and decode
+    it.  A CRC mismatch, a stream that does not inflate or a malformed
+    varint stream is a :class:`CorruptionError` at the chunk's start."""
+    where = f"archive frame at {entry.frame_addr} (chunk {entry.chunk_id})"
+    streams = memoryview(
+        storage.read(entry.frame_addr + FRAME_HEADER.size, entry.compressed_len)
+    )
+    if zlib.crc32(streams) != entry.crc:
+        raise CorruptionError(f"{where} fails its stream CRC", address=entry.start_addr)
+    try:
+        header_stream = zlib.decompress(streams[: entry.header_len])
+        payload_blob = zlib.decompress(streams[entry.header_len :])
+    except zlib.error as exc:
+        raise CorruptionError(
+            f"{where} does not inflate: {exc}", address=entry.start_addr
+        ) from exc
+    return decode_chunk_region(
+        header_stream,
+        payload_blob,
+        entry.start_addr,
+        entry.record_count,
+        entry.raw_len,
+        entry.flags,
+    )
+
+
+def encode_region(columns: "RegionColumns") -> bytes:
+    """The byte-identical record-log region behind ``columns``, every
+    record re-framed through :func:`~repro.core.record.encode_record`.
+    Only the reference decoder (``RecordLog.iter_records_between``)
+    reads archived records as bytes; queries read the columns."""
+    rows = zip(
+        columns.source_ids.tolist(), columns.timestamps.tolist(), columns.prev_addrs.tolist()
+    )
+    return b"".join(encode_record(*row, columns.payload_view(i)) for i, row in enumerate(rows))
 
 
 @dataclass
@@ -405,6 +433,7 @@ def scan_archive_frames(storage: Storage) -> ArchiveScan:
                     payload_len=pay_len,
                     raw_len=raw_len,
                     flags=flags,
+                    crc=crc,
                 )
             )
         elif kind == KIND_RECYCLE:
@@ -432,8 +461,8 @@ class ArchiveLog:
     """Append-only compressed chunk store with a sidecar frame journal.
 
     Single-writer (the migrator / retention enforcer); the read side
-    (:meth:`read_chunk_bytes`, :meth:`read_range`) is lock-free and may
-    be called from any query thread.
+    (:meth:`read_chunk_bytes`, :meth:`entry_for_address`) is lock-free
+    and may be called from any query thread.
     """
 
     def __init__(
@@ -448,7 +477,7 @@ class ArchiveLog:
         self._entries: List[ArchiveEntry] = []
         self._starts: List[int] = []
         self._by_chunk: Dict[int, ArchiveEntry] = {}
-        self._cache: Dict[int, bytes] = {}
+        self._cache: Dict[int, "RegionColumns"] = {}
         self.recycled_upto = 0
         self.retention_floor = 0
         self.retention_mode = 0
@@ -515,7 +544,8 @@ class ArchiveLog:
         raw_len: int,
         header_stream: bytes,
         payload_stream: bytes,
-    ) -> int:
+    ) -> Tuple[int, int]:
+        """Append one frame; returns its address and its stream CRC."""
         crc = zlib.crc32(payload_stream, zlib.crc32(header_stream))
         frame = (
             FRAME_HEADER.pack(
@@ -537,7 +567,7 @@ class ArchiveLog:
         self._journal.append(
             FRAME_ENTRY.pack(address, len(frame), zlib.crc32(frame))
         )
-        return address
+        return address, crc
 
     def append_chunk(
         self, chunk_id: int, start_addr: int, end_addr: int, region: bytes
@@ -548,7 +578,7 @@ class ArchiveLog:
         )
         header_comp = zlib.compress(header_stream, COMPRESSION_LEVEL)
         payload_comp = zlib.compress(payload_blob, COMPRESSION_LEVEL)
-        frame_addr = self._append_frame(
+        frame_addr, crc = self._append_frame(
             KIND_DATA,
             flags,
             chunk_id,
@@ -569,6 +599,7 @@ class ArchiveLog:
             payload_len=len(payload_comp),
             raw_len=len(region),
             flags=flags,
+            crc=crc,
         )
         self._admit(entry)
         return entry
@@ -639,14 +670,17 @@ class ArchiveLog:
 
     def read_chunk_bytes(
         self, chunk_id: int, stats: "Optional[QueryStats]" = None
-    ) -> bytes:
-        """Decompress one chunk into an owned buffer (cached).
+    ) -> "RegionColumns":
+        """One archived chunk's :class:`~repro.core.record_log.RegionColumns`
+        (cached): read-only arrays over its owned payload blob, outside
+        the zero-copy borrow rules.  A cache miss is :func:`decode_frame`.
+        ``stats``, when given, receives per-query cold-decompression
+        accounting (cache hits do not count).
 
-        The returned bytes are owned by the caller's reference — they
-        live outside the zero-copy borrow rules, so a later migration or
-        retention pass can never invalidate them.  ``stats``, when given,
-        receives per-query cold-decompression accounting (cache hits do
-        not count).
+        The name predates the columns.  It stays because every chunk
+        lookup, hit or miss, is one call here, and the benchmark's
+        ``archive.read_chunk_bytes`` span and cache-hit ratio count
+        exactly those calls.
         """
         entry = self._by_chunk.get(chunk_id)
         if entry is None:
@@ -656,25 +690,13 @@ class ArchiveLog:
         cached = self._cache.get(chunk_id)
         if cached is not None:
             return cached
-        streams = self._storage.read(
-            entry.frame_addr + FRAME_HEADER.size, entry.compressed_len
-        )
-        header_stream = zlib.decompress(bytes(streams[: entry.header_len]))
-        payload_blob = zlib.decompress(bytes(streams[entry.header_len :]))
-        region = decode_chunk_region(
-            header_stream,
-            payload_blob,
-            entry.start_addr,
-            entry.record_count,
-            entry.raw_len,
-            entry.flags,
-        )
+        columns = decode_frame(self._storage, entry)
         self.decompressions += 1
         if stats is not None:
             stats.cold_chunks_decompressed += 1
         if self._decompress_counter is not None:
             self._decompress_counter.inc()
-        self._cache[chunk_id] = region
+        self._cache[chunk_id] = columns
         while len(self._cache) > CACHE_CHUNKS:
             try:
                 # GIL-atomic pop of the oldest insertion; advisory LRU —
@@ -683,29 +705,7 @@ class ArchiveLog:
                 self._cache.pop(next(iter(self._cache)))
             except (KeyError, StopIteration):
                 break
-        return region
-
-    def read_range(
-        self, start: int, end: int, stats: "Optional[QueryStats]" = None
-    ) -> bytes:
-        """Owned bytes for hot-address range ``[start, end)`` from the
-        archive, assembled from the covering chunks' decompressed buffers."""
-        if start >= end:
-            return b""
-        parts: List[bytes] = []
-        address = start
-        while address < end:
-            entry = self.entry_for_address(address)
-            if entry is None:
-                raise AddressError(
-                    f"address {address} is not covered by the archive"
-                )
-            region = self.read_chunk_bytes(entry.chunk_id, stats)
-            lo = address - entry.start_addr
-            hi = min(end, entry.end_addr) - entry.start_addr
-            parts.append(region[lo:hi])
-            address = entry.end_addr
-        return b"".join(parts)
+        return columns
 
 
 def _trim_frame_journal(journal: Storage, data_end: int) -> None:

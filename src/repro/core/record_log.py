@@ -36,7 +36,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import viewguard
-from .archive import ArchiveLog, ChunkMigrator, MigrationReport, RetentionReport
+from .archive import (
+    ArchiveLog,
+    ChunkMigrator,
+    MigrationReport,
+    RetentionReport,
+    encode_region,
+)
 from .chunk_index import ChunkIndex
 from .clock import Clock, MonotonicClock, VirtualClock
 from .config import LoomConfig, TierConfig
@@ -76,17 +82,21 @@ if TYPE_CHECKING:  # typing-only imports; avoid cycles with operators/recovery
 #: needs lengths without decoding whole headers.
 _LEN_FIELD = struct.Struct("<I")
 
+#: The per-record header columns of :class:`RegionColumns`, in field order.
+_ROW_COLUMNS = ("source_ids", "timestamps", "prev_addrs", "lengths")
+
 
 @dataclass
 class RegionColumns:
     """Decoded header columns for one contiguous record-log region.
 
-    The columnar read-side counterpart of ``encode_batch_arrays``: all record
-    headers in ``[start, start + len(buffer))`` decoded into parallel
-    numpy vectors, with payload bytes left in place in ``buffer`` (which
-    is a zero-copy storage view when the mmap read tier served the
-    region).  Operators filter on the columns and touch Python per record
-    only for survivors.
+    The columnar read-side counterpart of ``encode_batch_arrays``: every
+    record in the region as parallel numpy vectors, with payload ``i`` at
+    ``buffer[payload_starts[i] : payload_starts[i] + lengths[i]]``.  On
+    the hot tier ``buffer`` is the region itself, headers included (a
+    zero-copy storage view when the mmap read tier served it); on the
+    cold tier it is the archive frame's owned payload blob.  Operators
+    filter on the columns and touch Python per record only for survivors.
     """
 
     start: int
@@ -94,8 +104,10 @@ class RegionColumns:
     timestamps: np.ndarray
     prev_addrs: np.ndarray
     lengths: np.ndarray
-    #: Byte offset of each record header within ``buffer``.
+    #: Address of each record relative to ``start``.
     offsets: np.ndarray
+    #: Byte offset of each record's payload within ``buffer``.
+    payload_starts: np.ndarray
     buffer: "bytes | memoryview"
 
     def __len__(self) -> int:
@@ -108,8 +120,37 @@ class RegionColumns:
 
     def payload_view(self, i: int) -> "bytes | memoryview":
         """Record ``i``'s payload, sliced in place from the region buffer."""
-        off = int(self.offsets[i]) + HEADER_SIZE
+        off = int(self.payload_starts[i])
         return self.buffer[off : off + int(self.lengths[i])]
+
+    def between(self, start: int, end: int) -> "RegionColumns":
+        """The records at addresses in ``[start, end)``, over the same
+        buffer (no row when ``start`` is not a record boundary)."""
+        lo, hi = np.searchsorted(self.offsets, (start - self.start, end - self.start))
+        if lo == 0 and hi == len(self) and start == self.start:
+            return self
+        rows = slice(lo, hi)
+        return RegionColumns(
+            start, self.source_ids[rows], self.timestamps[rows], self.prev_addrs[rows],
+            self.lengths[rows], self.offsets[rows] - (start - self.start),
+            self.payload_starts[rows], self.buffer,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["RegionColumns"]) -> "RegionColumns":
+        """Adjacent regions as one, over one owned copy of their buffers."""
+        if len(parts) == 1:
+            return parts[0]
+        buffers = [viewguard.unwrap(part.buffer) for part in parts]
+        bases = np.cumsum([0] + [len(b) for b in buffers[:-1]]).tolist()
+        start = parts[0].start
+        return cls(
+            start,
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in _ROW_COLUMNS),
+            np.concatenate([p.offsets + (p.start - start) for p in parts]),
+            np.concatenate([p.payload_starts + base for p, base in zip(parts, bases)]),
+            b"".join(buffers),
+        )
 
     def batch(self, source_id: int, rows: np.ndarray) -> "RecordBatch":
         """The records at ``rows`` as an owned batch, in ``rows`` order.
@@ -121,7 +162,7 @@ class RegionColumns:
         """
         raw = np.frombuffer(viewguard.unwrap(self.buffer), np.uint8)
         bounds, blob = gather_payloads(
-            raw, self.offsets[rows] + HEADER_SIZE, self.lengths[rows]
+            raw, self.payload_starts[rows], self.lengths[rows]
         )
         return RecordBatch(
             source_id=source_id,
@@ -984,41 +1025,50 @@ class RecordLog:
     def _read_cold_record(
         self, address: int, stats: "Optional[QueryStats]"
     ) -> Record:
-        """Decode one record from the archive's decompressed chunk buffer.
-
-        The buffer is an owned copy (outside the zero-copy borrow rules)
-        whose framing — including each record's CRC — was re-derived and
-        length-verified during decode, so no per-read CRC pass is needed.
-        """
-        archive = self.archive
-        if archive is None:
+        """One record from its archived chunk's cached columns, found by
+        a ``searchsorted`` over the chunk's offsets (an address off a
+        record boundary is an :class:`AddressError`).  The frame's CRC
+        was checked on inflate, so no per-read CRC pass is needed."""
+        columns = self._cold_columns(address, address + 1, stats)
+        if len(columns) == 0:
             raise AddressError(
-                f"address {address} is below the cold boundary but no "
-                f"archive is attached"
+                f"address {address} is not a record boundary of its archived chunk"
             )
-        if address < self._retention_floor:
+        return Record(
+            source_id=int(columns.source_ids[0]),
+            timestamp=int(columns.timestamps[0]),
+            prev_addr=int(columns.prev_addrs[0]),
+            payload=bytes(columns.payload_view(0)),  # already owned bytes
+            address=address,
+        )
+
+    def _cold_columns(
+        self, start: int, end: int, stats: "Optional[QueryStats]"
+    ) -> RegionColumns:
+        """Columns of the archived records in ``[start, end)``: the
+        covering chunks' cached columns, sliced and concatenated.  They
+        are owned, so no later migration or retention pass can
+        invalidate them."""
+        archive = self.archive
+        if archive is None or start < self._retention_floor:
             raise AddressError(
-                f"record at {address} was retired by retention "
-                f"(floor {self._retention_floor})"
+                f"region [{start}, {end}) is not archived (retention floor "
+                f"{self._retention_floor})"
             )
         hist = self._m_cold_read_ns
         started = self.metrics.clock.now() if hist is not None else 0
-        entry = archive.entry_for_address(address)
-        if entry is None:
-            raise AddressError(f"address {address} is not covered by the archive")
-        region = archive.read_chunk_bytes(entry.chunk_id, stats)
-        offset = address - entry.start_addr
-        source_id, timestamp, prev_addr, length = decode_header(region, offset)
-        payload = region[offset + HEADER_SIZE : offset + HEADER_SIZE + length]
+        parts: List[RegionColumns] = []
+        address = start
+        while address < end:
+            entry = archive.entry_for_address(address)
+            if entry is None:
+                raise AddressError(f"address {address} is not covered by the archive")
+            chunk = archive.read_chunk_bytes(entry.chunk_id, stats)
+            parts.append(chunk.between(address, min(end, entry.end_addr)))
+            address = entry.end_addr
         if hist is not None:
             hist.observe(float(self.metrics.clock.now() - started))
-        return Record(
-            source_id=source_id,
-            timestamp=timestamp,
-            prev_addr=prev_addr,
-            payload=payload,
-            address=address,
-        )
+        return RegionColumns.concat(parts)
 
     def iter_records_between(  # loomflow: borrows=scan
         self,
@@ -1091,25 +1141,49 @@ class RecordLog:
         end: int,
         stats: "Optional[QueryStats]" = None,
     ) -> Optional[RegionColumns]:
-        """Decode all record headers in ``[start, end)`` into columns.
+        """Decode all records in ``[start, end)`` into columns.
 
         The vectorized counterpart of :meth:`iter_records_between` for
-        filtering scans: one bulk region fetch (zero-copy via the mmap
-        tier when possible), then every header is gathered into parallel
-        numpy vectors with two array operations.  Returns ``None`` when
-        the region is empty.
-
-        For the common case of fixed-size records the header offsets are
-        one ``arange``; otherwise a Python walk over the length fields
-        finds them (still far cheaper than full per-record decodes).
-        Under ``verify_on_read`` that walk also CRC-checks each record
-        before stepping past it, raising :class:`CorruptionError` naming
-        the first bad address.
+        filtering scans, on either tier: :meth:`_hot_columns` above the
+        cold boundary, :meth:`_cold_columns` below it, and both
+        concatenated (owned) for a straddling region.  A read that races
+        a migration pass retries against the advanced boundary.  Returns
+        ``None`` when the region is empty.
         """
         if end <= start:
             return None
+        while True:
+            boundary = self._cold_boundary
+            try:
+                if start < boundary:
+                    columns = self._cold_columns(start, min(end, boundary), stats)
+                    if end > boundary:
+                        columns = RegionColumns.concat([columns, self._hot_columns(boundary, end)])
+                else:
+                    columns = self._hot_columns(start, end)
+                break
+            except AddressError:
+                if self._cold_boundary == boundary:
+                    raise
+        if stats is not None:
+            stats.records_decoded += len(columns)
+        return columns
+
+    def _hot_columns(  # loomflow: borrows=storage
+        self, start: int, end: int
+    ) -> RegionColumns:
+        """Decode the record headers of the hot region ``[start, end)``:
+        one bulk fetch (zero-copy via the mmap tier when possible), then
+        two array operations gather every header.  For the common case of
+        fixed-size records the header offsets are one ``arange``;
+        otherwise a Python walk over the length fields finds them (still
+        far cheaper than full per-record decodes).  Under
+        ``verify_on_read`` that walk also CRC-checks each record before
+        stepping past it, raising :class:`CorruptionError` naming the
+        first bad address.
+        """
         size = end - start
-        buffer, _is_view = self._region_buffer(start, end, stats)
+        buffer = self.log.read_view(start, size) or self.log.read(start, size)
         # C-level consumers (frombuffer, struct) need the raw buffer; the
         # unwrap checks the view was not poisoned before decoding starts.
         raw_buffer = viewguard.unwrap(buffer)
@@ -1150,11 +1224,10 @@ class RecordLog:
         # The column arrays are handed to callers: freeze them (before
         # taking the struct view, so the view inherits read-onlyness) so
         # nobody can mutate what look like private scratch arrays.
-        headers.flags.writeable = False
-        offsets.flags.writeable = False
+        payload_starts = offsets + HEADER_SIZE
+        for frozen in (headers, offsets, payload_starts):
+            frozen.flags.writeable = False
         bodies = headers.view(BODY_DTYPE).ravel()
-        if stats is not None:
-            stats.records_decoded += len(offsets)
         return RegionColumns(
             start=start,
             source_ids=bodies["sid"],
@@ -1162,63 +1235,39 @@ class RecordLog:
             prev_addrs=bodies["prev"],
             lengths=bodies["len"],
             offsets=offsets,
+            payload_starts=payload_starts,
             buffer=buffer,
         )
 
     def _region_buffer(  # loomflow: borrows=storage
         self, start: int, end: int, stats: "Optional[QueryStats]"
     ) -> "Tuple[bytes | memoryview, bool]":
-        """Fetch ``[start, end)`` as one buffer, dispatching across tiers.
+        """Fetch ``[start, end)`` as one buffer for the reference decoder.
 
         Returns ``(buffer, is_view)``.  Hot regions come zero-copy from
-        the mmap tier when possible; regions at or below the cold
-        boundary are assembled from the archive's decompressed chunks
-        into an *owned* buffer (outside the borrow rules), with the hot
-        suffix of a straddling region appended via a copying read.  A
-        read that races a migration pass (the storage prefix recycling
-        under it) retries against the advanced boundary.
+        the mmap tier when possible.  Archived records are re-framed one
+        by one from their chunk columns (:func:`encode_region`) into an
+        *owned* buffer (outside the borrow rules), with the hot suffix of
+        a straddling region appended via a copying read.  Only
+        :meth:`iter_records_between` comes here: queries read columns.  A
+        read that races a migration pass retries against the advanced
+        boundary.
         """
         while True:
             boundary = self._cold_boundary
-            if start >= boundary:
-                try:
-                    size = end - start
-                    region = self.log.read_view(start, size)
+            try:
+                if start >= boundary:
+                    region = self.log.read_view(start, end - start)
                     if region is not None:
                         return region, True
-                    return self.log.read(start, size), False
-                except AddressError:
-                    if start >= self._cold_boundary:
-                        raise
-                    continue
-            archive = self.archive
-            if archive is None:
-                raise AddressError(
-                    f"region [{start}, {end}) is below the cold boundary "
-                    f"but no archive is attached"
-                )
-            if start < self._retention_floor:
-                raise AddressError(
-                    f"region [{start}, {end}) starts below the retention "
-                    f"floor {self._retention_floor}"
-                )
-            hist = self._m_cold_read_ns
-            started = self.metrics.clock.now() if hist is not None else 0
-            cold_end = min(end, boundary)
-            try:
-                cold = archive.read_range(start, cold_end, stats)
-                hot = (
-                    self.log.read(cold_end, end - cold_end)
-                    if end > cold_end
-                    else b""
-                )
+                    return self.log.read(start, end - start), False
+                cold_end = min(end, boundary)
+                cold = encode_region(self._cold_columns(start, cold_end, stats))
+                hot = self.log.read(cold_end, end - cold_end) if end > cold_end else b""
+                return cold + hot, False
             except AddressError:
-                if self._cold_boundary != boundary:
-                    continue  # migration advanced mid-assembly; redo the split
-                raise
-            if hist is not None:
-                hist.observe(float(self.metrics.clock.now() - started))
-            return (cold if not hot else cold + hot), False
+                if self._cold_boundary == boundary:
+                    raise
 
     # ------------------------------------------------------------------
     # Cold tier: migration and retention

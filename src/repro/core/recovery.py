@@ -45,17 +45,14 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from .archive import (
-    FRAME_HEADER,
     RETIRE_DOWNSAMPLE,
     ArchiveScan,
-    decode_chunk_region,
-    iter_region_records,
+    decode_frame,
     scan_archive_frames,
 )
 from .chunk_index import STATE_LIVE, STATE_SUMMARY_ONLY
@@ -588,23 +585,15 @@ def _recover_archive(
         state.archived_chunks += 1
         state.archive_raw_bytes += entry.raw_len
         state.archive_compressed_bytes += entry.compressed_len
-        streams = archive_storage.read(
-            entry.frame_addr + FRAME_HEADER.size, entry.compressed_len
+        columns = decode_frame(archive_storage, entry)
+        arch_records.extend(
+            zip(
+                columns.addresses.tolist(),
+                columns.source_ids.tolist(),
+                columns.timestamps.tolist(),
+                columns.lengths.tolist(),
+            )
         )
-        header_stream = zlib.decompress(bytes(streams[: entry.header_len]))
-        payload_blob = zlib.decompress(bytes(streams[entry.header_len :]))
-        region = decode_chunk_region(
-            header_stream,
-            payload_blob,
-            entry.start_addr,
-            entry.record_count,
-            entry.raw_len,
-            entry.flags,
-        )
-        for addr, sid, ts, _prev, length in iter_region_records(
-            region, entry.start_addr
-        ):
-            arch_records.append((addr, sid, ts, length))
 
 
 def _recover_summaries(

@@ -3,8 +3,11 @@ unified tiered-storage surface.
 
 ACCEPTANCE scenarios for the tiered-storage API:
 
-* the archive codec round-trips chunk regions *byte-identically* (framing
-  and CRCs are deterministic functions of the columns);
+* the archive codec decodes a frame into exactly the columns
+  ``region_columns`` decodes from the original region, and re-framing
+  those columns rebuilds the region *byte-identically* (framing and CRCs
+  are deterministic functions of the columns) — checked against the
+  original per-record decode loop, kept here as the reference decoder;
 * migrating finalized chunks into the archive changes no query answer,
   and the cold read path decompresses only the chunks a query actually
   needs (counter-backed: summary-only aggregates decompress nothing);
@@ -21,21 +24,28 @@ from __future__ import annotations
 
 import struct
 import warnings
+from typing import List, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.archive import (
+    FLAG_TRANSPOSED,
+    _put_varint,
     decode_chunk_region,
     encode_chunk_streams,
+    encode_region,
 )
 from repro.core.chunk_index import STATE_SUMMARY_ONLY
 from repro.core.clock import VirtualClock
 from repro.core.config import LoomConfig, RetentionPolicy, TierConfig
-from repro.core.errors import AddressError, LoomError, StaleViewError
+from repro.core.errors import AddressError, CorruptionError, LoomError, StaleViewError
 from repro.core.hybridlog import NULL_ADDRESS
 from repro.core.loom import Loom
 from repro.core.operators import QueryStats
-from repro.core.record import encode_record
+from repro.core.record import HEADER_SIZE, encode_record
 from repro.core.record_log import RecordLog
 from repro.core.recovery import check_data_dir
 
@@ -80,15 +90,146 @@ def _fill(loom, clock, count=600, sources=(1, 2)):
 
 
 # ----------------------------------------------------------------------
-# Codec: byte-identical round trips
+# Codec: columns out of the frame, byte-identical round trips
 # ----------------------------------------------------------------------
+_NULL = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _get_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    value = 0
+    shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+
+
+def _unzigzag(value: int) -> int:
+    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
+
+
+def decode_chunk_region_scalar(
+    header_stream: bytes,
+    payload_blob: bytes,
+    start_addr: int,
+    record_count: int,
+    raw_len: int,
+    flags: int,
+) -> bytes:
+    """Reference decoder: one Python varint loop per column, then every
+    record re-framed through ``encode_record``.
+
+    The oracle for the whole-array :func:`decode_chunk_region`: the
+    codec tests assert both decode the same frame to the same records.
+    """
+    pos = 0
+    count, pos = _get_varint(header_stream, pos)
+    if count != record_count:
+        raise CorruptionError(
+            f"archive frame record count mismatch ({count} != {record_count})",
+            address=start_addr,
+        )
+    sids: List[int] = []
+    for _ in range(count):
+        sid, pos = _get_varint(header_stream, pos)
+        sids.append(sid)
+    timestamps: List[int] = []
+    prev_ts = 0
+    prev_delta = 0
+    for i in range(count):
+        if i == 0:
+            prev_ts, pos = _get_varint(header_stream, pos)
+            timestamps.append(prev_ts)
+        else:
+            dod, pos = _get_varint(header_stream, pos)
+            prev_delta += _unzigzag(dod)
+            prev_ts += prev_delta
+            timestamps.append(prev_ts)
+    backs: List[int] = []
+    for _ in range(count):
+        back, pos = _get_varint(header_stream, pos)
+        backs.append(back)
+    lengths: List[int] = []
+    for _ in range(count):
+        length, pos = _get_varint(header_stream, pos)
+        lengths.append(length)
+
+    if flags & FLAG_TRANSPOSED and count > 0:
+        width = len(payload_blob) // count
+        payload_blob = (
+            np.frombuffer(payload_blob, dtype=np.uint8)
+            .reshape(width, count)
+            .T.tobytes()
+        )
+
+    parts: List[bytes] = []
+    address = start_addr
+    payload_offset = 0
+    for i in range(count):
+        length = lengths[i]
+        payload = payload_blob[payload_offset : payload_offset + length]
+        payload_offset += length
+        prev_addr = _NULL if backs[i] == 0 else address - backs[i]
+        encoded = encode_record(sids[i], timestamps[i], prev_addr, payload)
+        parts.append(encoded)
+        address += len(encoded)
+    region = b"".join(parts)
+    if len(region) != raw_len:
+        raise CorruptionError(
+            f"archive frame decoded to {len(region)} bytes, expected {raw_len}",
+            address=start_addr,
+        )
+    return region
+
+
+_COLUMNS = ("source_ids", "timestamps", "prev_addrs", "lengths", "offsets")
+
+
+def _assert_same_columns(got, want):
+    assert got.start == want.start and len(got) == len(want)
+    for name in _COLUMNS:
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype, name
+        assert column.tolist() == expected.tolist(), name
+    assert [bytes(got.payload_view(i)) for i in range(len(got))] == [
+        bytes(want.payload_view(i)) for i in range(len(want))
+    ]
+
+
+def _region_at(region: bytes, start_addr: int) -> RecordLog:
+    """A fresh in-memory record log holding ``region`` at ``start_addr``,
+    after one padding record (so ``start_addr`` is 0 or at least one
+    header)."""
+    log = RecordLog(LoomConfig(), clock=VirtualClock())
+    if start_addr:
+        log.log.append(encode_record(0, 0, NULL_ADDRESS, bytes(start_addr - HEADER_SIZE)))
+    log.log.append(region)
+    log.log.publish()
+    return log
+
+
 class TestCodec:
     def _roundtrip(self, region, start_addr=0):
+        """Frame columns == ``region_columns`` of the original region, and
+        both the re-framed columns and the reference decoder give the
+        region back byte for byte."""
         header, blob, count, flags = encode_chunk_streams(region, start_addr)
-        rebuilt = decode_chunk_region(
-            header, blob, start_addr, count, len(region), flags
+        columns = decode_chunk_region(header, blob, start_addr, count, len(region), flags)
+        log = _region_at(region, start_addr)
+        try:
+            _assert_same_columns(
+                columns, log.region_columns(start_addr, start_addr + len(region))
+            )
+        finally:
+            log.close()
+        assert encode_region(columns) == region
+        assert (
+            decode_chunk_region_scalar(header, blob, start_addr, count, len(region), flags)
+            == region
         )
-        assert rebuilt == region
         return header, blob
 
     def test_uniform_records_round_trip(self):
@@ -118,14 +259,69 @@ class TestCodec:
         self._roundtrip(region)
 
     def test_fixed_width_payloads_transpose(self):
-        from repro.core.archive import FLAG_TRANSPOSED
-
         region = b""
         for i in range(16):
             region += encode_record(3, 10 * i, NULL_ADDRESS, _VALUE.pack(float(i)))
-        header, blob, count, flags = encode_chunk_streams(region, 0)
+        _header, _blob, _count, flags = encode_chunk_streams(region, 0)
         assert flags & FLAG_TRANSPOSED
-        assert decode_chunk_region(header, blob, 0, count, len(region), flags) == region
+        self._roundtrip(region)
+
+    def test_one_record_chunk(self):
+        self._roundtrip(encode_record(5, 2**64 - 1, NULL_ADDRESS, b"solo"), start_addr=28)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, 2**32 - 1]),
+                st.integers(0, 2**64 - 1),
+                st.booleans(),
+                st.binary(max_size=24),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        width=st.one_of(st.none(), st.integers(1, 16)),
+        start_addr=st.one_of(st.just(0), st.integers(HEADER_SIZE, 512)),
+    )
+    def test_frame_columns_match_region_columns(self, rows, width, start_addr):
+        """Mixed sources, NULL and chained prevs, arbitrary u64 timestamps
+        (so delta-of-deltas of either sign, up to 66 bits zigzagged), and
+        payloads that are either mixed widths, zeros included, or one
+        fixed width (the transposed blob)."""
+        region = b""
+        last = {}
+        for sid, timestamp, chained, payload in rows:
+            if width is not None:
+                payload = payload[:width].ljust(width, b"\x5a")
+            prev = last.get(sid, NULL_ADDRESS) if chained else NULL_ADDRESS
+            last[sid] = start_addr + len(region)
+            region += encode_record(sid, timestamp, prev, payload)
+        self._roundtrip(region, start_addr)
+
+    def test_malformed_header_streams_raise_corruption(self):
+        """A damaged varint stream is a typed error naming the chunk, not
+        an ``IndexError`` or a silently short chunk."""
+        region = b"".join(
+            encode_record(1, 100 + i, NULL_ADDRESS, b"abc") for i in range(4)
+        )
+        header, blob, count, flags = encode_chunk_streams(region, 56)
+
+        def decode(stream=header, count=count, raw_len=len(region), payload=blob):
+            with pytest.raises(CorruptionError) as exc_info:
+                decode_chunk_region(stream, payload, 56, count, raw_len, flags)
+            assert exc_info.value.address == 56
+
+        decode(stream=header[:-1] + b"\x80")  # does not end on a terminator
+        decode(stream=b"")
+        decode(stream=header[:-1] + b"\xff" * 10 + b"\x01")  # 11-byte varint
+        extra = bytearray(header)
+        _put_varint(extra, 7)
+        decode(stream=bytes(extra))  # 1 + 4n + 1 varints
+        decode(count=count + 1)
+        decode(stream=b"\x05" + header[1:])  # the count varint disagrees
+        decode(raw_len=len(region) + 1)
+        decode(payload=blob[:-1])
 
     def test_compression_beats_raw_on_telemetry_shapes(self):
         import zlib

@@ -9,18 +9,25 @@ Exercises the crash-safety claims of the migration commit protocol
   the hot chunks authoritative — no loss, no duplication — and recovery
   drops the unratified frames;
 * a storage failure mid-pass aborts the whole pass cleanly and a retry
-  succeeds with byte-identical answers.
+  succeeds with byte-identical answers;
+* a ratified frame damaged on disk (a flipped byte in its header or its
+  payload stream) makes every cold read of its chunk raise a typed
+  :class:`CorruptionError` naming the chunk, never a bare ``zlib.error``,
+  and ``check_data_dir`` names the frame.
 """
 
 import struct
+import zlib
 
 import pytest
 
 from repro.core import Health, StorageError
-from repro.core.archive import ArchiveLog
+from repro.core.archive import FRAME_HEADER, ArchiveLog
 from repro.core.clock import VirtualClock
 from repro.core.config import LoomConfig, TierConfig
-from repro.core.faults import FaultInjectingStorage
+from repro.core.errors import CorruptionError
+from repro.core.faults import FaultInjectingStorage, corrupt_byte
+from repro.core.histogram import HistogramSpec
 from repro.core.loom import Loom
 from repro.core.recovery import check_data_dir
 
@@ -167,4 +174,79 @@ class TestMidPassFailure:
         assert report.chunks_migrated > 0
         assert loom.record_log.cold_boundary > 0
         assert _scan_bytes(loom) == before
+        loom.close()
+
+
+def _value(payload):
+    return _VALUE.unpack_from(payload)[0]
+
+
+_COLD_READS = {
+    "scan": lambda loom, index_id, entry: loom.scan(1, ALL_TIME),
+    "scan_indexed": lambda loom, index_id, entry: loom.scan_indexed(
+        1, index_id, ALL_TIME, (0.0, 100.0)
+    ),
+    "read_record": lambda loom, index_id, entry: loom.record_log.read_record(
+        entry.start_addr
+    ),
+}
+
+
+class TestDamagedRatifiedFrame:
+    def _migrated(self, tmp_path):
+        cfg = _tiered_config(tmp_path)
+        clock = VirtualClock(1_000)
+        loom = Loom(cfg, clock=clock)
+        loom.define_source(1)
+        index_id = loom.define_index(1, _value, HistogramSpec([25.0, 50.0, 75.0]))
+        for i in range(400):
+            loom.push(1, _payload(i % 100))
+            clock.advance(1)
+        assert loom.migrate(force=True).chunks_migrated > 0
+        return loom, index_id, loom.record_log.archive.entries()[0]
+
+    @staticmethod
+    def _stream_offset(entry, stream):
+        """A byte in the middle of the frame's header or payload stream."""
+        start = entry.frame_addr + FRAME_HEADER.size
+        if stream == "header":
+            return start + entry.header_len // 2
+        return start + entry.header_len + entry.payload_len // 2
+
+    @pytest.mark.parametrize("stream", ["header", "payload"])
+    @pytest.mark.parametrize("read", sorted(_COLD_READS))
+    def test_flipped_stream_byte_is_a_typed_error(self, tmp_path, stream, read):
+        loom, index_id, entry = self._migrated(tmp_path)
+        storage = loom.record_log.archive._storage
+        offset = self._stream_offset(entry, stream)
+        corrupt_byte(storage, offset, 0x40)
+        with pytest.raises(CorruptionError) as exc_info:
+            _COLD_READS[read](loom, index_id, entry)
+        assert exc_info.value.address == entry.start_addr
+        assert "stream CRC" in str(exc_info.value)
+        # Flip the byte back for close (whose LOOMSAN oracles read every
+        # chunk), then again on disk for the offline check.
+        corrupt_byte(storage, offset, 0x40)
+        loom.close()
+        corrupt_byte(storage, offset, 0x40)
+
+        report = check_data_dir(str(tmp_path))
+        assert not report.ok
+        assert report.error.address == entry.frame_addr
+
+    def test_frame_that_passes_its_crc_but_does_not_inflate(self, tmp_path):
+        loom, index_id, entry = self._migrated(tmp_path)
+        storage = loom.record_log.archive._storage
+        offset = self._stream_offset(entry, "header")
+        stored_crc = entry.crc
+        corrupt_byte(storage, offset, 0x40)
+        # As if the damage predated the CRC.
+        entry.crc = zlib.crc32(
+            storage.read(entry.frame_addr + FRAME_HEADER.size, entry.compressed_len)
+        )
+        with pytest.raises(CorruptionError, match="does not inflate") as exc_info:
+            loom.record_log.read_record(entry.start_addr)
+        assert exc_info.value.address == entry.start_addr
+        corrupt_byte(storage, offset, 0x40)
+        entry.crc = stored_crc
         loom.close()

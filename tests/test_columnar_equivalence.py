@@ -15,13 +15,15 @@ counterpart:
   same bytes as the copying ``read`` path;
 * :meth:`RecordLog.region_columns` (columnar header decode) must agree
   field-for-field with the scalar record iterator, including for batches
-  that span chunk and block boundaries.
+  that span chunk and block boundaries, and on the cold tier for runs of
+  several archived chunks and ranges straddling the cold boundary.
 """
 
 import math
 import os
 import struct
 from binascii import crc32
+from bisect import bisect_left
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -478,6 +480,8 @@ class TestBatchPathEquivalence:
             floor = loom.record_log.retention_floor
             assert (floor > 0) == (tiering == "retired")
             assert (loom.record_log.cold_boundary > floor) == (tiering != "hot")
+            if tiering != "hot":
+                windows += self._cold_windows(loom)
             for sid in (DENSE, MIXED, SPARSE):
                 records = _oracle(loom, sid)
                 for t_lo, t_hi in windows:
@@ -488,6 +492,41 @@ class TestBatchPathEquivalence:
                         self._check_aggregates(loom, sid, indexes[sid], t_lo, t_hi, inside)
         finally:
             loom.close()
+
+    @staticmethod
+    def _cold_windows(loom):
+        """Time windows over cold data: one straddling the cold boundary
+        and one over a run of several whole cold chunks.  On the way, the
+        columns of cold, straddling and mid-chunk address ranges must be
+        the reference decoder's records, field for field."""
+        log = loom.record_log
+        snapshot = loom.snapshot()
+        records = list(log.iter_records_between(log.retention_floor, snapshot.watermark))
+        addresses = [r.address for r in records]
+        k = bisect_left(addresses, log.cold_boundary)
+        assert 0 < k < len(records)
+        last = len(records) - 1
+        for lo, hi in ((0, last), (max(0, k - 30), min(last, k + 30)), (k // 3, 2 * k // 3)):
+            start, end = addresses[lo], addresses[hi]
+            columns = snapshot.region_columns(start, end)
+            want = records[lo:hi]
+            assert (columns is None) == (not want)
+            if want:
+                got = zip(
+                    columns.source_ids.tolist(),
+                    columns.timestamps.tolist(),
+                    columns.addresses.tolist(),
+                    columns.prev_addrs.tolist(),
+                    (bytes(columns.payload_view(i)) for i in range(len(columns))),
+                )
+                assert list(got) == [
+                    (r.source_id, r.timestamp, r.address, r.prev_addr, bytes(r.payload))
+                    for r in want
+                ]
+        return [
+            (records[max(0, k - 30)].timestamp, records[min(last, k + 30)].timestamp),
+            (records[0].timestamp, records[k - 1].timestamp),
+        ]
 
     @staticmethod
     def _check_scan(loom, sid, t_lo, t_hi, inside, records, floor):

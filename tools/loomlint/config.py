@@ -214,8 +214,14 @@ READER_ROOTS = (
     "repro.core.record_log.RecordLog.iter_records_between",
     "repro.core.record_log.RecordLog.active_region_start",
     "repro.core.record_log.RecordLog.region_columns",
+    "repro.core.record_log.RecordLog._hot_columns",
+    "repro.core.record_log.RecordLog._cold_columns",
     "repro.core.record_log.RecordLog._region_buffer",
-    "repro.core.record_log.RegionColumns.batch",
+    "repro.core.record_log.RegionColumns.*",
+    "repro.core.archive.ArchiveLog.read_chunk_bytes",
+    "repro.core.archive.decode_frame",
+    "repro.core.archive.decode_chunk_region",
+    "repro.core.archive.encode_region",
     "repro.core.record_log.RecordBatch.*",
     "repro.core.record_log.gather_payloads",
     "repro.core.chunk_index.ChunkIndex.summaries_in_time_range",

@@ -568,7 +568,10 @@ def _check_columnar_decode(
     ``region_columns`` (the vectorized scan substrate) must reproduce
     exactly the records the trivially-correct scalar iterator yields:
     same count, and identical (source, timestamp, prev, address, payload)
-    per record.  Skipped for very large logs to keep LOOMSAN tractable.
+    per record.  Below the cold boundary the columns are sliced from the
+    archive's numpy frame decode, while the scalar iterator walks the
+    bytes re-framed from them (``encode_region``).  Skipped for very
+    large logs to keep LOOMSAN tractable.
     """
     start = record_log.retention_floor
     end = snapshot.watermark
