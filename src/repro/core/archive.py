@@ -7,9 +7,10 @@ summaries, and only a scan that must materialize raw records from a cold
 range pays a decompression.  This module implements that trade
 (DESIGN.md §15):
 
-* **Codec** — one archive frame per migrated chunk.  The 28-byte record
-  headers are split into columns (source ids, delta-of-delta zigzag
-  timestamps, back-pointer deltas, payload lengths), varint-packed and
+* **Codec** — one archive frame per migrated chunk, encoded from the
+  chunk's hot columns.  The 28-byte record headers become columns
+  (source ids, delta-of-delta zigzag timestamps, back-pointer deltas,
+  payload lengths), varint-packed in one whole-array pass and
   zlib-compressed; payloads are concatenated into a separate blob,
   byte-transposed when every record in the chunk has the same payload
   width (a shuffle filter: fixed-width telemetry payloads compress far
@@ -27,8 +28,9 @@ range pays a decompression.  This module implements that trade
   decisions.  A crash between data frames and their recycle frame leaves
   an unratified suffix that reopen truncates: the hot chunk stays
   authoritative, nothing is lost or duplicated.
-* **Migrator** — moves finalized, fully persisted chunks into the
-  archive with watermark hysteresis, then routes the hot-prefix recycle
+* **Migrator** — moves finalized, fully persisted chunks whose records
+  pass their CRCs into the archive with watermark hysteresis, then
+  routes the hot-prefix recycle
   through the storage poison hooks so outstanding zero-copy views fail
   with a typed :class:`~repro.core.errors.StaleViewError` instead of
   reading recompressed bytes.
@@ -49,20 +51,23 @@ import threading
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from itertools import takewhile
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import viewguard
 from .errors import AddressError, CorruptionError
-from .hybridlog import FRAME_ENTRY
+from .hybridlog import FRAME_ENTRY, trim_journal
 from .metrics import Counter
-from .record import HEADER_SIZE, decode_header, encode_record
+from .record import HEADER_SIZE, encode_record
 from .storage import Storage
 
 if TYPE_CHECKING:  # avoid an import cycle: record_log imports this module
     from .config import TierConfig
     from .operators import QueryStats
     from .record_log import RecordLog, RegionColumns
+    from .summary import ChunkSummary
 
 __all__ = [
     "ArchiveLog",
@@ -75,7 +80,6 @@ __all__ = [
     "decode_chunk_region",
     "decode_frame",
     "encode_region",
-    "iter_region_records",
 ]
 
 #: Archive frame header: kind, flags, a, b, c, record_count, raw_len,
@@ -95,7 +99,6 @@ RETIRE_DROP = 1
 RETIRE_DOWNSAMPLE = 2
 
 _RETIRE_MODES = {"drop": RETIRE_DROP, "downsample": RETIRE_DOWNSAMPLE}
-_RETIRE_NAMES = {RETIRE_DROP: "drop", RETIRE_DOWNSAMPLE: "downsample"}
 
 _NULL = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -106,116 +109,68 @@ COMPRESSION_LEVEL = 6
 #: its owned payload blob: about one ``chunk_size`` of memory).
 CACHE_CHUNKS = 4
 
-#: Longest LEB128 varint a u64 column can need; the zigzagged
-#: delta-of-delta of two u64 timestamps needs all of it (up to 66 bits).
+#: Longest LEB128 varint a u64 column can need.
 _MAX_VARINT = 10
 
+#: Bit offset of each 7-bit group of a varint.
+_GROUP_SHIFTS = np.arange(0, 7 * _MAX_VARINT, 7, dtype=np.uint64)
 
-# ----------------------------------------------------------------------
-# varint / zigzag primitives
-# ----------------------------------------------------------------------
-def _put_varint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
+#: Smallest value needing 2, 3, ... 10 varint bytes.
+_VARINT_LIMITS = np.uint64(1) << _GROUP_SHIFTS[1:]
 
 
 # ----------------------------------------------------------------------
 # Chunk codec
 # ----------------------------------------------------------------------
-def iter_region_records(
-    region: bytes, start_addr: int
-) -> Iterator[Tuple[int, int, int, int, int]]:
-    """Walk a raw chunk region, yielding per-record header columns.
-
-    Yields ``(address, source_id, timestamp, prev_addr, payload_len)``
-    for each record; raises :class:`CorruptionError` if the records do
-    not tile the region exactly.
-    """
-    offset = 0
-    size = len(region)
-    while offset < size:
-        if offset + HEADER_SIZE > size:
-            raise CorruptionError(
-                "record header straddles the chunk region end",
-                address=start_addr + offset,
-            )
-        source_id, timestamp, prev_addr, length = decode_header(region, offset)
-        if offset + HEADER_SIZE + length > size:
-            raise CorruptionError(
-                "record payload straddles the chunk region end",
-                address=start_addr + offset,
-            )
-        yield start_addr + offset, source_id, timestamp, prev_addr, length
-        offset += HEADER_SIZE + length
+def _leb128(values: np.ndarray) -> bytes:
+    """The LEB128 varints of a u64 array, back to back: each value's
+    7-bit groups are one row of a table, continuation bits set on all
+    but its last, and a row-major mask keeps each row's own width."""
+    widths = 1 + np.searchsorted(_VARINT_LIMITS, values, side="right")
+    rank = np.arange(int(widths.max()))
+    groups = ((values[:, None] >> _GROUP_SHIFTS[rank]) & np.uint64(0x7F)).astype(np.uint8)
+    groups[rank < widths[:, None] - 1] |= 0x80
+    return groups[rank < widths[:, None]].tobytes()
 
 
-def encode_chunk_streams(
-    region: bytes, start_addr: int
-) -> Tuple[bytes, bytes, int, int]:
-    """Split a chunk region into compressible column streams.
+def encode_chunk_streams(columns: "RegionColumns") -> Tuple[bytes, bytes, int, int]:
+    """Split a chunk's columns into compressible streams, the exact
+    inverse of :func:`decode_chunk_region`.
 
     Returns ``(header_stream, payload_blob, record_count, flags)``, both
-    streams uncompressed.  The header stream packs, per column: source
-    ids (varint), timestamps (first absolute, then delta-of-delta zigzag
-    varints), back pointers (0 for NULL, else the positive distance
-    ``address - prev_addr``), and payload lengths (varint).  When every
-    payload has the same non-zero width the blob is byte-transposed
-    (``FLAG_TRANSPOSED``) so same-position bytes of consecutive records
-    become runs.
+    uncompressed.  The header stream is one LEB128 pass over the column
+    ``[n, source ids, first timestamp, zigzagged delta-of-deltas, back
+    pointers (0 for NULL, else address - prev_addr), payload lengths]``.
+    Delta-of-deltas are taken mod 2^64 and zigzagged as i64, which the
+    decoder inverts mod 2^64, so any u64 timestamps round-trip.  Equal
+    non-zero payload widths byte-transpose the blob (``FLAG_TRANSPOSED``)
+    so same-position bytes of consecutive records become runs.
     """
-    sids: List[int] = []
-    timestamps: List[int] = []
-    prev_deltas: List[int] = []
-    lengths: List[int] = []
-    payloads: List[bytes] = []
-    for address, sid, timestamp, prev_addr, length in iter_region_records(
-        region, start_addr
-    ):
-        sids.append(sid)
-        timestamps.append(timestamp)
-        prev_deltas.append(0 if prev_addr == _NULL else address - prev_addr)
-        lengths.append(length)
-        offset = address - start_addr + HEADER_SIZE
-        payloads.append(region[offset : offset + length])
+    from .record_log import gather_payloads  # record_log imports this module
 
-    stream = bytearray()
-    count = len(sids)
-    _put_varint(stream, count)
-    for sid in sids:
-        _put_varint(stream, sid)
-    prev_ts = 0
-    prev_delta = 0
-    for i, timestamp in enumerate(timestamps):
-        if i == 0:
-            _put_varint(stream, timestamp)
-        else:
-            delta = timestamp - prev_ts
-            _put_varint(stream, _zigzag(delta - prev_delta))
-            prev_delta = delta
-        prev_ts = timestamp
-    for back in prev_deltas:
-        _put_varint(stream, back)
-    for length in lengths:
-        _put_varint(stream, length)
-
-    blob = b"".join(payloads)
-    flags = 0
-    if count > 0 and lengths[0] > 0 and all(n == lengths[0] for n in lengths):
-        width = lengths[0]
-        blob = (
-            np.frombuffer(blob, dtype=np.uint8)
-            .reshape(count, width)
-            .T.tobytes()
+    n = len(columns)
+    timestamps = columns.timestamps
+    dod = np.diff(np.diff(timestamps), prepend=np.uint64(0))
+    zigzag = (dod << np.uint64(1)) ^ (np.uint64(0) - (dod >> np.uint64(63)))
+    prev = columns.prev_addrs
+    backs = np.where(prev == _NULL, np.uint64(0), columns.addresses.astype(np.uint64) - prev)
+    lengths = columns.lengths
+    stream = _leb128(
+        np.concatenate(
+            ([np.uint64(n)], columns.source_ids, timestamps[:1], zigzag, backs, lengths),
+            dtype=np.uint64,
         )
-        flags |= FLAG_TRANSPOSED
-    return bytes(stream), blob, count, flags
+    )
+    raw = np.frombuffer(viewguard.unwrap(columns.buffer), np.uint8)
+    width = int(lengths[0]) if n else 0
+    if width and bool((lengths == width).all()):
+        # The rows tile the buffer from its first byte, so equal widths
+        # make it an (n, stride) table: the transposed blob is one
+        # strided copy of its payload columns.
+        table = raw[: n * (HEADER_SIZE + width)].reshape(n, -1)
+        return stream, table[:, HEADER_SIZE:].T.tobytes(), n, FLAG_TRANSPOSED
+    _bounds, blob = gather_payloads(raw, columns.payload_starts, lengths)
+    return stream, blob, n, 0
 
 
 def decode_chunk_region(
@@ -285,48 +240,22 @@ def decode_chunk_region(
 # ----------------------------------------------------------------------
 # Archive log
 # ----------------------------------------------------------------------
+@dataclass(eq=False)
 class ArchiveEntry:
     """Directory entry for one archived chunk (one ``DATA`` frame)."""
 
-    __slots__ = (
-        "chunk_id",
-        "start_addr",
-        "end_addr",
-        "record_count",
-        "frame_addr",
-        "header_len",
-        "payload_len",
-        "raw_len",
-        "flags",
-        "crc",
-        "retired",
-    )
-
-    def __init__(
-        self,
-        chunk_id: int,
-        start_addr: int,
-        end_addr: int,
-        record_count: int,
-        frame_addr: int,
-        header_len: int,
-        payload_len: int,
-        raw_len: int,
-        flags: int,
-        crc: int,
-    ) -> None:
-        self.chunk_id = chunk_id
-        self.start_addr = start_addr
-        self.end_addr = end_addr
-        self.record_count = record_count
-        self.frame_addr = frame_addr
-        self.header_len = header_len
-        self.payload_len = payload_len
-        self.raw_len = raw_len
-        self.flags = flags
-        #: The frame's stored ``crc32(streams)``, checked on every inflate.
-        self.crc = crc
-        self.retired = False
+    chunk_id: int
+    start_addr: int
+    end_addr: int
+    record_count: int
+    frame_addr: int
+    header_len: int
+    payload_len: int
+    raw_len: int
+    flags: int
+    #: The frame's stored ``crc32(streams)``, checked on every inflate.
+    crc: int
+    retired: bool = False
 
     @property
     def compressed_len(self) -> int:
@@ -387,10 +316,6 @@ class ArchiveScan:
     #: End of the last structurally valid frame (>= ratified_end).
     valid_end: int = 0
     findings: List[str] = field(default_factory=list)
-
-    @property
-    def orphan_entries(self) -> List[ArchiveEntry]:
-        return [e for e in self.entries if e.frame_addr >= self.ratified_end]
 
     @property
     def ratified_entries(self) -> List[ArchiveEntry]:
@@ -484,8 +409,6 @@ class ArchiveLog:
         self.retention_keep_every = 1
         self.raw_bytes = 0
         self.compressed_bytes = 0
-        self.decompressions = 0
-        self.repairs: List[str] = []
 
     # -- lifecycle -------------------------------------------------------
     @classmethod
@@ -505,10 +428,7 @@ class ArchiveLog:
         scan = scan_archive_frames(storage)
         if storage.size > scan.ratified_end:
             storage.truncate(scan.ratified_end)
-            log.repairs.append(
-                f"archive: truncated unratified suffix to {scan.ratified_end}"
-            )
-        _trim_frame_journal(journal, scan.ratified_end)
+        trim_journal(journal, scan.ratified_end)
         log.recycled_upto = scan.recycled_upto
         log.retention_floor = scan.retention_floor
         log.retention_mode = scan.retention_mode
@@ -570,12 +490,18 @@ class ArchiveLog:
         return address, crc
 
     def append_chunk(
-        self, chunk_id: int, start_addr: int, end_addr: int, region: bytes
+        self, chunk_id: int, start_addr: int, end_addr: int, columns: "RegionColumns"
     ) -> ArchiveEntry:
-        """Compress and append one chunk region as a ``DATA`` frame."""
-        header_stream, payload_blob, count, flags = encode_chunk_streams(
-            region, start_addr
-        )
+        """Compress and append one chunk, decoded as ``columns``, as a
+        ``DATA`` frame.  Records that do not tile ``[start_addr,
+        end_addr)`` exactly are a :class:`CorruptionError`."""
+        raw_len = end_addr - start_addr
+        if columns.extent != raw_len:
+            raise CorruptionError(
+                f"chunk {chunk_id}'s records do not tile [{start_addr}, {end_addr})",
+                address=start_addr + columns.extent,
+            )
+        header_stream, payload_blob, count, flags = encode_chunk_streams(columns)
         header_comp = zlib.compress(header_stream, COMPRESSION_LEVEL)
         payload_comp = zlib.compress(payload_blob, COMPRESSION_LEVEL)
         frame_addr, crc = self._append_frame(
@@ -585,7 +511,7 @@ class ArchiveLog:
             start_addr,
             end_addr,
             count,
-            len(region),
+            raw_len,
             header_comp,
             payload_comp,
         )
@@ -597,12 +523,24 @@ class ArchiveLog:
             frame_addr=frame_addr,
             header_len=len(header_comp),
             payload_len=len(payload_comp),
-            raw_len=len(region),
+            raw_len=raw_len,
             flags=flags,
             crc=crc,
         )
         self._admit(entry)
         return entry
+
+    def discard_from(self, frame_addr: int) -> None:
+        """Drop the unratified ``DATA`` frames from ``frame_addr`` on (a
+        migration pass that failed part-way), as reopen would."""
+        while self._entries and self._entries[-1].frame_addr >= frame_addr:
+            entry = self._entries.pop()
+            self._starts.pop()
+            del self._by_chunk[entry.chunk_id]
+            self.raw_bytes -= entry.raw_len
+            self.compressed_bytes -= entry.compressed_len
+        self._storage.truncate(frame_addr)
+        trim_journal(self._journal, frame_addr)
 
     def append_recycle(self, upto: int) -> None:
         """Ratify all preceding data frames and persist the boundary."""
@@ -656,9 +594,6 @@ class ArchiveLog:
     def entries(self) -> List[ArchiveEntry]:
         return list(self._entries)
 
-    def entry_for_chunk(self, chunk_id: int) -> Optional[ArchiveEntry]:
-        return self._by_chunk.get(chunk_id)
-
     def entry_for_address(self, address: int) -> Optional[ArchiveEntry]:
         i = bisect_right(self._starts, address) - 1
         if i < 0:
@@ -691,7 +626,6 @@ class ArchiveLog:
         if cached is not None:
             return cached
         columns = decode_frame(self._storage, entry)
-        self.decompressions += 1
         if stats is not None:
             stats.cold_chunks_decompressed += 1
         if self._decompress_counter is not None:
@@ -706,22 +640,6 @@ class ArchiveLog:
             except (KeyError, StopIteration):
                 break
         return columns
-
-
-def _trim_frame_journal(journal: Storage, data_end: int) -> None:
-    """Drop journal entries describing frames past ``data_end`` (plus any
-    torn partial entry at the journal tail)."""
-    size = journal.size
-    whole = size - size % FRAME_ENTRY.size
-    keep = whole
-    while keep > 0:
-        entry = journal.read(keep - FRAME_ENTRY.size, FRAME_ENTRY.size)
-        address, length, _ = FRAME_ENTRY.unpack(entry)
-        if address + length <= data_end:
-            break
-        keep -= FRAME_ENTRY.size
-    if keep != size:
-        journal.truncate(keep)
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +673,10 @@ class ChunkMigrator:
 
     Commit order per pass (crash-safe; see DESIGN.md §15):
 
-    1. append one ``DATA`` frame per chunk, fsync the archive;
+    1. append one ``DATA`` frame per chunk, each record CRC-checked as
+       it is decoded, fsync the archive.  A damaged record raises
+       :class:`CorruptionError` and the pass's frames are discarded:
+       nothing is ratified and the boundary stays where it was;
     2. append the ``RECYCLE`` frame advancing the boundary, fsync;
     3. publish the boundary to readers (GIL-atomic store) and recycle
        the hot prefix through the storage poison hooks.
@@ -769,28 +690,18 @@ class ChunkMigrator:
         self._record_log = record_log
         self._tier = tier
         self._gate = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
-    def _eligible(self) -> List[Tuple[int, int, int, int]]:
+    def _eligible(self) -> List["ChunkSummary"]:
         """Finalized chunks above the cold boundary whose bytes are fully
-        persisted: ``(chunk_id, start_addr, end_addr, record_count)``."""
+        persisted."""
         log = self._record_log
         persisted = log.log.persisted_tail
-        boundary = log.cold_boundary
-        out: List[Tuple[int, int, int, int]] = []
-        for summary in log.chunk_index.finalized_after(boundary):
-            if summary.end_addr > persisted:
-                break
-            out.append(
-                (
-                    summary.chunk_id,
-                    summary.start_addr,
-                    summary.end_addr,
-                    summary.record_count,
-                )
+        return list(
+            takewhile(
+                lambda summary: summary.end_addr <= persisted,
+                log.chunk_index.finalized_after(log.cold_boundary),
             )
-        return out
+        )
 
     def run_once(self, force: bool = False) -> MigrationReport:
         """One migration pass.  ``force`` migrates every eligible chunk;
@@ -817,17 +728,30 @@ class ChunkMigrator:
             ]
         if not eligible:
             return MigrationReport(0, 0, 0, 0, log.cold_boundary)
+        from .record_log import decode_region  # record_log imports this module
+
         records = 0
         raw = 0
         compressed = 0
-        for chunk_id, start_addr, end_addr, _count in eligible:
-            region = bytes(log.log.read(start_addr, end_addr - start_addr))
-            entry = archive.append_chunk(chunk_id, start_addr, end_addr, region)
-            records += entry.record_count
-            raw += entry.raw_len
-            compressed += entry.compressed_len
+        first_frame = archive.size
+        try:
+            for summary in eligible:
+                start, end = summary.start_addr, summary.end_addr
+                # One owned read per chunk, not a view of the mmap tier: a
+                # pass over the whole hot log through the map would keep
+                # every page it touched resident, and no borrow may reach
+                # commit_migration.  Frames keep no per-record CRC, so each
+                # record is checked here, on the bytes being archived.
+                region = decode_region(log.log.read(start, end - start), start, verify=True)
+                entry = archive.append_chunk(summary.chunk_id, start, end, region)
+                records += entry.record_count
+                raw += entry.raw_len
+                compressed += entry.compressed_len
+        except CorruptionError:
+            archive.discard_from(first_frame)
+            raise
         archive.sync()
-        boundary = eligible[-1][2]
+        boundary = eligible[-1].end_addr
         archive.append_recycle(boundary)
         archive.sync()
         log.commit_migration(boundary)
@@ -839,30 +763,3 @@ class ChunkMigrator:
             compressed_bytes=compressed,
             cold_boundary=boundary,
         )
-
-    # -- optional background thread --------------------------------------
-    def start(self, interval_s: float = 0.05) -> None:
-        """Run migration passes on a background thread until :meth:`stop`."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(interval_s):
-                self.run_once()
-
-        self._thread = threading.Thread(
-            target=_loop, name="loom-migrator", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-
-
-def retire_mode_name(mode: int) -> str:
-    return _RETIRE_NAMES.get(mode, "none")

@@ -109,8 +109,8 @@ class LoomConfig:
         metrics_enabled: maintain the loomscope self-observation
             registry (ingest counters, flush-latency histograms, reader
             fallback counters — see :mod:`repro.core.metrics`).  On by
-            default; the observability overhead benchmark uses the off
-            mode as its uninstrumented baseline.
+            default; the benchmark's ``metrics.overhead_pct`` compares
+            ``ingest_rps`` with it off and on.
     """
 
     chunk_size: int = 16 * 1024

@@ -35,7 +35,7 @@ import threading
 import time
 from binascii import crc32
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from . import viewguard, yieldpoints
 from .block import Block
@@ -53,6 +53,26 @@ _READ_RETRIES = 16
 #: file's flat logical address space is untouched; recovery verifies each
 #: journaled extent's checksum to detect bit-rot in bulk.
 FRAME_ENTRY = struct.Struct("<QII")
+
+
+def journal_entries(journal: Storage) -> Iterator[Tuple[int, int, int]]:
+    """Every whole ``(address, length, crc32)`` entry of a frame journal."""
+    whole = journal.size - journal.size % FRAME_ENTRY.size
+    return FRAME_ENTRY.iter_unpack(journal.read(0, whole))
+
+
+def trim_journal(journal: Optional[Storage], data_end: int) -> None:
+    """Drop the frame-journal entries describing extents past
+    ``data_end``, and any torn partial entry at the journal's tail."""
+    if journal is None:
+        return
+    keep = 0
+    for address, length, _ in journal_entries(journal):
+        if address + length > data_end:
+            break
+        keep += FRAME_ENTRY.size
+    if keep < journal.size:
+        journal.truncate(keep)
 
 
 class Health(enum.Enum):

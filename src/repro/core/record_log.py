@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import struct
+from binascii import crc32
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -69,7 +70,7 @@ from .record import (
     record_crc,
     verify_record_bytes,
 )
-from .storage import Storage, open_storage
+from .storage import open_storage
 from .summary import ChunkSummary
 from .timestamp_index import KIND_CHUNK, TimestampIndex
 
@@ -77,10 +78,10 @@ if TYPE_CHECKING:  # typing-only imports; avoid cycles with operators/recovery
     from .operators import QueryStats
     from .recovery import RecoveredState
 
-#: The 4-byte length field at offset 20 of a record header (sid u32 +
-#: ts u64 + prev u64 precede it); used by the region offset walk, which
-#: needs lengths without decoding whole headers.
-_LEN_FIELD = struct.Struct("<I")
+#: A u32 record-header field: the source id at offset 0, or the length
+#: at offset 20 (sid u32 + ts u64 + prev u64 precede it); the region
+#: offset walk reads lengths without decoding whole headers.
+_U32 = struct.Struct("<I")
 
 #: The per-record header columns of :class:`RegionColumns`, in field order.
 _ROW_COLUMNS = ("source_ids", "timestamps", "prev_addrs", "lengths")
@@ -117,6 +118,13 @@ class RegionColumns:
     def addresses(self) -> np.ndarray:
         """Logical record-log address of each record."""
         return self.offsets + self.start
+
+    @property
+    def extent(self) -> int:
+        """Bytes from ``start`` to the end of the last record."""
+        if not len(self):
+            return 0
+        return int(self.offsets[-1]) + HEADER_SIZE + int(self.lengths[-1])
 
     def payload_view(self, i: int) -> "bytes | memoryview":
         """Record ``i``'s payload, sliced in place from the region buffer."""
@@ -196,6 +204,79 @@ def gather_payloads(
         return bounds, sliding_window_view(raw, width)[starts].tobytes()
     index = np.repeat(starts - bounds[:-1], lengths) + np.arange(total)
     return bounds, raw[index].tobytes()
+
+
+def decode_region(
+    buffer: "bytes | memoryview", start: int, verify: bool = False
+) -> RegionColumns:
+    """Decode the record headers in ``buffer``, whose first byte is the
+    record at address ``start``, into columns over ``buffer``.
+
+    Queries, migration and recovery all read stored records through this
+    one decoder.  Its rows are the whole records the buffer holds: a torn
+    tail is simply not a row (compare :attr:`RegionColumns.extent` with
+    the bytes read to see one).  For fixed-size records the header
+    offsets are one ``arange`` and one strided copy takes every header;
+    otherwise a Python walk over the length fields finds them.  With
+    ``verify`` each row is then CRC-checked in address order, raising
+    :class:`CorruptionError` at the first bad address.
+    """
+    # C-level consumers (frombuffer, struct) need the raw buffer; the
+    # unwrap checks the view was not poisoned before decoding starts.
+    raw_buffer = viewguard.unwrap(buffer)
+    size = len(raw_buffer)
+    raw = np.frombuffer(raw_buffer, np.uint8)
+    unpack_u32 = _U32.unpack_from
+    headers: Optional[np.ndarray] = None
+    if size >= HEADER_SIZE:
+        first_len = unpack_u32(raw_buffer, 20)[0]
+        stride = HEADER_SIZE + first_len
+        if size % stride == 0:
+            # Fixed-size fast path, validated inductively: offset 0 is a
+            # header; if its length is ``first_len`` the next header is at
+            # ``stride``; requiring every candidate's length field to
+            # equal ``first_len`` proves every candidate is a real header.
+            # The candidates are the rows of the region seen as a
+            # ``stride``-wide table, so one strided copy takes them all.
+            table = np.ascontiguousarray(raw.reshape(-1, stride)[:, :BODY_SIZE])
+            if bool((table.view(BODY_DTYPE)["len"] == first_len).all()):
+                headers = table
+                offsets = np.arange(0, size, stride, dtype=np.int64)
+    if headers is None:
+        offs: List[int] = []
+        pos = 0
+        while pos + HEADER_SIZE <= size:
+            length = unpack_u32(raw_buffer, pos + 20)[0]
+            if pos + HEADER_SIZE + length > size:
+                break
+            offs.append(pos)
+            pos += HEADER_SIZE + length
+        offsets = np.array(offs, dtype=np.int64)
+        headers = raw[(offsets[:, None] + np.arange(BODY_SIZE)).ravel()].reshape(-1, BODY_SIZE)
+    if verify:
+        # A damaged length field fails its own record's CRC, so rows the
+        # walk found past it are never the ones reported.
+        view = memoryview(raw_buffer)
+        crcs = raw[(offsets[:, None] + np.arange(BODY_SIZE, HEADER_SIZE)).ravel()].view("<u4")
+        lengths = headers.view(BODY_DTYPE)["len"].ravel()
+        for pos, length, stored in zip(offsets.tolist(), lengths.tolist(), crcs.tolist()):
+            body_crc = crc32(view[pos : pos + BODY_SIZE])
+            if crc32(view[pos + HEADER_SIZE : pos + HEADER_SIZE + length], body_crc) != stored:
+                raise CorruptionError(
+                    f"record at address {start + pos} fails its CRC "
+                    f"(source_id={unpack_u32(raw_buffer, pos)[0]}, length={length})",
+                    address=start + pos,
+                )
+    # The column arrays are handed to callers: freeze them (before
+    # taking the struct view, so the view inherits read-onlyness) so
+    # nobody can mutate what look like private scratch arrays.
+    payload_starts = offsets + HEADER_SIZE
+    for frozen in (headers, offsets, payload_starts):
+        frozen.flags.writeable = False
+    bodies = headers.view(BODY_DTYPE).ravel()
+    return RegionColumns(
+        start, *(bodies[name] for name in BODY_DTYPE.names), offsets, payload_starts, buffer
+    )
 
 
 @dataclass
@@ -312,8 +393,9 @@ class RecordLog:
 
         # The loomscope registry always exists (introspection surfaces
         # rely on it); cfg.metrics_enabled gates only the hot-path
-        # instrumentation, so the overhead benchmark can compare the
-        # instrumented and uninstrumented write paths on the same build.
+        # instrumentation, so the benchmark's ``metrics.overhead_pct``
+        # compares the instrumented and uninstrumented write paths on the
+        # same build.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         instrumented = cfg.metrics_enabled
 
@@ -411,6 +493,9 @@ class RecordLog:
         self.archive: Optional[ArchiveLog] = None
         self.migrator: Optional[ChunkMigrator] = None
         self._auto_migrate = False
+        #: The corruption that stopped auto-migration, if any.
+        self.migration_error: Optional[CorruptionError] = None
+        self._m_migration_errors: Optional[Counter] = None
         self._m_migrations: Optional[Counter] = None
         self._m_migrated_chunks: Optional[Counter] = None
         self._m_migrated_raw: Optional[Counter] = None
@@ -428,6 +513,10 @@ class RecordLog:
                 m = self.metrics
                 self._m_migrations = m.counter(
                     "loom.archive.migrations_total", "migration passes committed"
+                )
+                self._m_migration_errors = m.counter(
+                    "loom.archive.migration_errors_total",
+                    "auto-migration passes that found a damaged hot record",
                 )
                 self._m_migrated_chunks = m.counter(
                     "loom.archive.chunks_migrated_total",
@@ -712,7 +801,7 @@ class RecordLog:
         if self._m_records is not None and self._m_bytes is not None:
             # Per-batch instrumentation: a handful of adds amortized
             # over the whole batch, which is what keeps the instrumented
-            # path within the observability bench's overhead budget.
+            # path within the ``metrics.overhead_pct`` budget.
             self._m_records.inc(n)
             self._m_bytes.inc(len(buffer) - n * HEADER_SIZE)
             if self._m_batches is not None:
@@ -731,21 +820,30 @@ class RecordLog:
         """Seal the active chunk summary and open one for ``new_chunk_id``."""
         summary = self._active_summary
         summary.end_addr = new_record_addr
-        if summary.record_count > 0:
-            self.chunk_index.append(summary)
-            self.timestamp_index.note_chunk(timestamp, summary.chunk_id)
-            if self._m_chunks is not None:
-                self._m_chunks.inc()
-            if self._auto_migrate and self.migrator is not None:
-                # Opportunistic migration from the writer thread; the
-                # hysteresis inside run_once makes this a cheap no-op
-                # until the high watermark is crossed.  Deliberately not
-                # routed through self.migrate() so the sanitizer's shadow
-                # wrapper never fires in the middle of a push.
-                self.migrator.run_once()
         self._active_summary = ChunkSummary(
             chunk_id=new_chunk_id, start_addr=new_record_addr, end_addr=new_record_addr
         )
+        if summary.record_count == 0:
+            return
+        self.chunk_index.append(summary)
+        self.timestamp_index.note_chunk(timestamp, summary.chunk_id)
+        if self._m_chunks is not None:
+            self._m_chunks.inc()
+        if self._auto_migrate and self.migrator is not None:
+            # Opportunistic migration from the writer thread; the
+            # hysteresis inside run_once makes this a cheap no-op until
+            # the high watermark is crossed.  Deliberately not routed
+            # through self.migrate() so the sanitizer's shadow wrapper
+            # never fires in the middle of a push.  A damaged hot record
+            # must not fail ingest: the error is parked, auto-migration
+            # stops, and a manual migrate() raises it again.
+            try:
+                self.migrator.run_once()
+            except CorruptionError as exc:
+                self._auto_migrate = False
+                self.migration_error = exc
+                if self._m_migration_errors is not None:
+                    self._m_migration_errors.inc()
 
     def _publish(self) -> None:
         """Make recent writes queryable: record log, chunk index, then
@@ -791,8 +889,6 @@ class RecordLog:
             return
         self._publish()
         self._closed = True
-        if self.migrator is not None:
-            self.migrator.stop()
         self.log.close()
         self.chunk_index.close()
         self.timestamp_index.close()
@@ -827,55 +923,23 @@ class RecordLog:
         recovered and must be re-defined by the daemon after reopen; they
         index records pushed from then on, as always (section 5.3).
         """
-        from .recovery import recover  # local import; recovery imports config
+        from .recovery import recover_data_dir  # recovery imports this module
 
         cfg = config or LoomConfig()
         if cfg.data_dir is None:
             raise LoomError("reopen requires a data_dir (persistent logs)")
-        record_path = cfg.record_log_path()
-        if record_path is None or not os.path.exists(record_path):
-            raise LoomError(f"no record log to reopen at {record_path!r}")
-
-        def _open_existing(path: Optional[str]) -> Optional[Storage]:
-            if path is not None and os.path.exists(path):
-                return open_storage(path)
-            return None
-
-        # Pass 1: verify/repair the raw files before any hybrid log maps
-        # its staging blocks at the persisted tail.
-        storages = [
-            open_storage(record_path),
-            _open_existing(cfg.chunk_index_path()),
-            _open_existing(cfg.timestamp_index_path()),
-            _open_existing(cfg.record_log_journal_path()),
-            _open_existing(cfg.chunk_index_journal_path()),
-            _open_existing(cfg.timestamp_index_journal_path()),
-            _open_existing(cfg.archive_log_path()),
-            _open_existing(cfg.archive_journal_path()),
-        ]
         # The registry outlives recovery: its phase gauges describe what
         # the reopen cost, and the new instance adopts it so introspection
-        # sees recovery and steady-state metrics side by side.
+        # sees recovery and steady-state metrics side by side.  Recovery
+        # verifies/repairs the raw files before any hybrid log maps its
+        # staging blocks at the persisted tail.
         registry = MetricsRegistry()
-        try:
-            state = recover(
-                storages[0],
-                chunk_storage=storages[1],
-                timestamp_storage=storages[2],
-                verify=verify,
-                repair=repair,
-                record_journal=storages[3],
-                chunk_journal=storages[4],
-                timestamp_journal=storages[5],
-                metrics=registry if cfg.metrics_enabled else None,
-                archive_storage=storages[6],
-                archive_journal=storages[7],
-            )
-        finally:
-            for storage in storages:
-                if storage is not None:
-                    storage.close()
-
+        state = recover_data_dir(
+            cfg,
+            verify=verify,
+            repair=repair,
+            metrics=registry if cfg.metrics_enabled else None,
+        )
         log = cls(config=cfg, clock=clock, metrics=registry)
         if cfg.metrics_enabled:
             with registry.phase("loom.recovery.phase_ns", labels={"phase": "restore"}):
@@ -935,38 +999,33 @@ class RecordLog:
         for summary in state.summaries[max(0, chunk_events - state.retired_chunks):]:
             self.timestamp_index.note_chunk(summary.t_max, summary.chunk_id)
 
-        # Re-finalize chunks whose summaries were lost in memory: group the
-        # unsummarized tail by chunk id; every group except the last is a
-        # complete chunk (its successor's first record proves it ended).
-        # Re-built summaries carry per-source info but no histogram bins —
-        # the UDFs are gone, matching define_index's forward-only contract.
+        # Re-finalize chunks whose summaries were lost in memory: cut the
+        # unsummarized tail where its chunk id steps; every group except
+        # the last is a complete chunk (its successor's first record
+        # proves it ended) and is folded in one columnar pass.  Re-built
+        # summaries carry per-source info but no histogram bins — the
+        # UDFs are gone, matching define_index's forward-only contract.
         tail = state.unsummarized_tail
-        groups: List[List[Tuple[int, int, int]]] = []
-        for addr, sid, ts in tail:
-            cid = addr // self.chunk_size
-            if not groups or groups[-1][0][0] // self.chunk_size != cid:
-                groups.append([])
-            groups[-1].append((addr, sid, ts))
-        for i, group in enumerate(groups[:-1]):
-            start = group[0][0]
-            end = groups[i + 1][0][0]
-            summary = ChunkSummary(
-                chunk_id=start // self.chunk_size, start_addr=start, end_addr=end
+        addrs = tail["addr"]
+        chunk_ids = (addrs // self.chunk_size).astype(np.int64)
+        firsts = np.flatnonzero(np.diff(chunk_ids, prepend=-1)).tolist()
+        for lo, hi in zip(firsts, firsts[1:] + [len(tail)]):
+            start = int(addrs[lo])
+            last = hi == len(tail)
+            summary = ChunkSummary.from_rows(
+                start // self.chunk_size,
+                start,
+                start if last else int(addrs[hi]),
+                tail["sid"][lo:hi],
+                tail["ts"][lo:hi],
+                addrs[lo:hi],
             )
-            for addr, sid, ts in group:
-                summary.add_record(sid, ts, addr)
-            self.chunk_index.append(summary)
-            self.timestamp_index.note_chunk(summary.t_max, summary.chunk_id)
-
-        if groups:
-            active = groups[-1]
-            start = active[0][0]
-            self._active_summary = ChunkSummary(
-                chunk_id=start // self.chunk_size, start_addr=start, end_addr=start
-            )
-            for addr, sid, ts in active:
-                self._active_summary.add_record(sid, ts, addr)
-        else:
+            if last:
+                self._active_summary = summary
+            else:
+                self.chunk_index.append(summary)
+                self.timestamp_index.note_chunk(summary.t_max, summary.chunk_id)
+        if not firsts:
             start = state.covered_addr
             self._active_summary = ChunkSummary(
                 chunk_id=start // self.chunk_size, start_addr=start, end_addr=start
@@ -1172,72 +1231,12 @@ class RecordLog:
     def _hot_columns(  # loomflow: borrows=storage
         self, start: int, end: int
     ) -> RegionColumns:
-        """Decode the record headers of the hot region ``[start, end)``:
-        one bulk fetch (zero-copy via the mmap tier when possible), then
-        two array operations gather every header.  For the common case of
-        fixed-size records the header offsets are one ``arange``;
-        otherwise a Python walk over the length fields finds them (still
-        far cheaper than full per-record decodes).  Under
-        ``verify_on_read`` that walk also CRC-checks each record before
-        stepping past it, raising :class:`CorruptionError` naming the
-        first bad address.
-        """
+        """The hot region ``[start, end)`` through :func:`decode_region`:
+        one bulk fetch, zero-copy via the mmap tier when possible.  Under
+        ``verify_on_read`` every record is CRC-checked."""
         size = end - start
         buffer = self.log.read_view(start, size) or self.log.read(start, size)
-        # C-level consumers (frombuffer, struct) need the raw buffer; the
-        # unwrap checks the view was not poisoned before decoding starts.
-        raw_buffer = viewguard.unwrap(buffer)
-        raw = np.frombuffer(raw_buffer, np.uint8)
-        unpack_len = _LEN_FIELD.unpack_from
-        verify = self._verify_on_read
-        first_len = unpack_len(raw_buffer, 20)[0]
-        stride = HEADER_SIZE + first_len
-        headers: Optional[np.ndarray] = None
-        if size % stride == 0 and not verify:
-            # Fixed-size fast path, validated inductively: offset 0 is a
-            # header; if its length is ``first_len`` the next header is at
-            # ``stride``; requiring every candidate's length field to
-            # equal ``first_len`` proves every candidate is a real header.
-            # The candidates are the rows of the region seen as a
-            # ``stride``-wide table, so one strided copy takes them all.
-            table = np.ascontiguousarray(raw.reshape(-1, stride)[:, :BODY_SIZE])
-            if bool((table.view(BODY_DTYPE)["len"] == first_len).all()):
-                headers = table
-                offsets = np.arange(0, size, stride, dtype=np.int64)
-        if headers is None:
-            offs: List[int] = []
-            pos = 0
-            while pos < size:
-                length = unpack_len(raw_buffer, pos + 20)[0]
-                if verify and not verify_record_bytes(raw_buffer, pos, length):
-                    raise CorruptionError(
-                        f"record at address {start + pos} fails its CRC on "
-                        f"read (length={length})",
-                        address=start + pos,
-                    )
-                offs.append(pos)
-                pos += HEADER_SIZE + length
-            offsets = np.array(offs, dtype=np.int64)
-            headers = raw[
-                (offsets[:, None] + np.arange(BODY_SIZE)).ravel()
-            ].reshape(-1, BODY_SIZE)
-        # The column arrays are handed to callers: freeze them (before
-        # taking the struct view, so the view inherits read-onlyness) so
-        # nobody can mutate what look like private scratch arrays.
-        payload_starts = offsets + HEADER_SIZE
-        for frozen in (headers, offsets, payload_starts):
-            frozen.flags.writeable = False
-        bodies = headers.view(BODY_DTYPE).ravel()
-        return RegionColumns(
-            start=start,
-            source_ids=bodies["sid"],
-            timestamps=bodies["ts"],
-            prev_addrs=bodies["prev"],
-            lengths=bodies["len"],
-            offsets=offsets,
-            payload_starts=payload_starts,
-            buffer=buffer,
-        )
+        return decode_region(buffer, start, self._verify_on_read)
 
     def _region_buffer(  # loomflow: borrows=storage
         self, start: int, end: int, stats: "Optional[QueryStats]"

@@ -15,12 +15,13 @@ This module rebuilds a queryable view from those persisted bytes:
   a persisted record log (the crash-forensics primitive: "use Loom to
   diagnose the crash using data it received", §4.5).
 * :func:`verify_frames` — check every journaled flush extent's checksum.
-* :func:`recover` — reconstruct a full :class:`RecoveredState` in a
-  *single pass* over the record log: per-source chains and counts, decoded
-  chunk summaries, timestamp entries, the unsummarized tail (everything
-  warm restart needs), with consistency cross-checks between the three
-  logs.  With ``repair=True`` it *truncates* each log at the first torn or
-  corrupt frame (and trims cross-log references past the cut) instead of
+* :func:`recover` — reconstruct a full :class:`RecoveredState` from *one
+  decode* of the record log into columns: per-source chains and counts,
+  decoded chunk summaries, timestamp entries, the unsummarized tail
+  (everything warm restart needs), with consistency cross-checks between
+  the three logs, all as array operations over those columns.  With
+  ``repair=True`` it *truncates* each log at the first torn or corrupt
+  frame (and trims cross-log references past the cut) instead of
   raising, leaving clean prefixes a reopened instance can append to.
 * :func:`check_data_dir` — offline integrity check of a whole data
   directory, returning a typed :class:`CheckReport`; this drives the
@@ -29,11 +30,11 @@ This module rebuilds a queryable view from those persisted bytes:
 When a data directory has a cold tier (an ``archive.log``), recovery
 scans the archive frames *first*: the archive's ratified ``RECYCLE``
 boundary says where the hot record log's authoritative prefix was
-recycled, and ``RETIRE`` frames carry the retention floor.  Source chains
-and counts are then accumulated from the decoded live archive chunks plus
-the hot suffix — so recovered per-source counts cover *retained* records
-(records dropped by retention are gone by design and are no longer
-counted).
+recycled, and ``RETIRE`` frames carry the retention floor.  The live
+archive chunks decode to the same columns the hot suffix does, and the
+two are concatenated before anything is counted — so recovered
+per-source counts cover *retained* records (records dropped by
+retention are gone by design and are no longer counted).
 
 Without ``repair``, recovery is read-only: it never mutates the persisted
 logs, so it can run against a live instance's files (e.g. from a second
@@ -45,9 +46,12 @@ from __future__ import annotations
 
 import os
 import struct
+from binascii import crc32
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .archive import (
     RETIRE_DOWNSAMPLE,
@@ -58,22 +62,29 @@ from .archive import (
 from .chunk_index import STATE_LIVE, STATE_SUMMARY_ONLY
 from .config import LoomConfig
 from .errors import CorruptionError, LoomError
-from .hybridlog import FRAME_ENTRY, NULL_ADDRESS
+from .hybridlog import FRAME_ENTRY, NULL_ADDRESS, journal_entries, trim_journal
 from .metrics import MetricsRegistry
-from .record import (
-    HEADER_SIZE,
-    Record,
-    decode_header,
-    verify_record_bytes,
-)
+from .record import Record
+from .record_log import RegionColumns, decode_region
 from .storage import FileStorage, Storage
-from .summary import ChunkSummary
+from .summary import ChunkSummary, group_rows
 from .timestamp_index import KIND_CHUNK, KIND_RECORD
-
-from binascii import crc32
 
 _LEN = struct.Struct("<I")
 _TS_ENTRY = struct.Struct("<QBIQ")
+
+#: One recovered record, as the columns recovery folds: its address,
+#: source id, timestamp and payload length.
+ROW_DTYPE = np.dtype([("addr", "<u8"), ("sid", "<u4"), ("ts", "<u8"), ("len", "<u4")])
+
+
+def _rows(columns: RegionColumns) -> np.ndarray:
+    rows = np.empty(len(columns), ROW_DTYPE)
+    rows["addr"] = columns.addresses
+    rows["sid"] = columns.source_ids
+    rows["ts"] = columns.timestamps
+    rows["len"] = columns.lengths
+    return rows
 
 
 @dataclass
@@ -126,9 +137,10 @@ class RecoveredState:
     #: Records seen in the record log but not covered by any finalized
     #: summary (they were in the active chunk(s) when the instance stopped).
     unsummarized_records: int = 0
-    #: ``(address, source_id, timestamp)`` of each unsummarized record, in
-    #: address order — warm restart refolds these into chunk summaries.
-    unsummarized_tail: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: The unsummarized records as :data:`ROW_DTYPE` columns (``addr``,
+    #: ``sid``, ``ts``, ``len``), in address order — warm restart refolds
+    #: these into chunk summaries.
+    unsummarized_tail: np.ndarray = field(default_factory=lambda: np.empty(0, ROW_DTYPE))
     #: Record-log address where finalized-summary coverage ends.
     covered_addr: int = 0
     #: Per source: records ingested since its last timestamp-index RECORD
@@ -143,6 +155,15 @@ class RecoveredState:
     def chain(self, source_id: int) -> Optional[int]:
         source = self.sources.get(source_id)
         return source.last_addr if source else None
+
+
+def _persisted_region(storage: Storage, start: int) -> "bytes | memoryview":
+    """Every persisted byte from ``start`` on, zero-copy when the backend
+    can serve it."""
+    size = storage.size - start
+    if size <= 0:
+        return b""
+    return storage.read_view(start, size) or storage.read(start, size)
 
 
 def scan_persisted_records(
@@ -161,29 +182,19 @@ def scan_persisted_records(
     ``start`` skips a recycled prefix (bytes migrated to the cold tier and
     reclaimed): chunks end on record boundaries, so the cold boundary is
     always a valid scan origin.
+
+    The records are the rows of one :func:`decode_region` over the
+    persisted bytes, so the whole log is checked before the first yield.
     """
-    address = start
-    end = storage.size
-    while address + HEADER_SIZE <= end:
-        frame = storage.read(address, HEADER_SIZE)
-        source_id, timestamp, prev_addr, length = decode_header(frame)
-        if address + HEADER_SIZE + length > end:
-            return  # torn tail record
-        payload = storage.read(address + HEADER_SIZE, length)
-        if verify_crc and not verify_record_bytes(frame + payload, 0, length):
-            raise CorruptionError(
-                f"record at address {address} fails its CRC "
-                f"(source_id={source_id}, length={length})",
-                address=address,
-            )
-        yield Record(
-            source_id=source_id,
-            timestamp=timestamp,
-            prev_addr=prev_addr,
-            payload=payload,
-            address=address,
-        )
-        address += HEADER_SIZE + length
+    columns = decode_region(_persisted_region(storage, start), start, verify_crc)
+    rows = zip(
+        columns.source_ids.tolist(),
+        columns.timestamps.tolist(),
+        columns.prev_addrs.tolist(),
+        columns.addresses.tolist(),
+    )
+    for i, (source_id, timestamp, prev_addr, address) in enumerate(rows):
+        yield Record(source_id, timestamp, prev_addr, bytes(columns.payload_view(i)), address)
 
 
 def scan_persisted_summaries(storage: Storage) -> Iterator[ChunkSummary]:
@@ -207,11 +218,7 @@ def _scan_summaries_with_offsets(
 
 def scan_persisted_timestamps(storage: Storage) -> Iterator[Tuple[int, int, int, int]]:
     """Decode every fully persisted timestamp-index entry."""
-    address = 0
-    end = storage.size
-    while address + _TS_ENTRY.size <= end:
-        yield _TS_ENTRY.unpack(storage.read(address, _TS_ENTRY.size))
-        address += _TS_ENTRY.size
+    return _TS_ENTRY.iter_unpack(storage.read(0, storage.size - storage.size % _TS_ENTRY.size))
 
 
 def verify_frames(
@@ -233,12 +240,7 @@ def verify_frames(
     """
     frames = 0
     expected = 0
-    offset = 0
-    jsize = journal.size
-    while offset + FRAME_ENTRY.size <= jsize:
-        address, length, stored = FRAME_ENTRY.unpack(
-            journal.read(offset, FRAME_ENTRY.size)
-        )
+    for address, length, stored in journal_entries(journal):
         if address != expected:
             raise CorruptionError(
                 f"{label}: frame journal entry {frames} covers address "
@@ -259,7 +261,6 @@ def verify_frames(
             )
         frames += 1
         expected = address + length
-        offset += FRAME_ENTRY.size
     return frames
 
 
@@ -287,11 +288,8 @@ def _repair_frames(
         journal.truncate(jsize - jsize % FRAME_ENTRY.size)
         repairs.append(f"{label}: dropped torn frame-journal tail entry")
     expected = 0
-    offset = 0
-    while offset + FRAME_ENTRY.size <= journal.size:
-        address, length, stored = FRAME_ENTRY.unpack(
-            journal.read(offset, FRAME_ENTRY.size)
-        )
+    for i, (address, length, stored) in enumerate(journal_entries(journal)):
+        offset = i * FRAME_ENTRY.size
         if address + length > storage.size:
             # Torn data tail: drop this and all later journal entries.
             journal.truncate(offset)
@@ -309,23 +307,6 @@ def _repair_frames(
             repairs.append(f"{label}: truncated at corrupt frame (address {cut})")
             return
         expected = address + length
-        offset += FRAME_ENTRY.size
-
-
-def _trim_journal(journal: Optional[Storage], data_size: int) -> None:
-    """Drop journal entries describing extents past ``data_size``."""
-    if journal is None:
-        return
-    keep = 0
-    offset = 0
-    while offset + FRAME_ENTRY.size <= journal.size:
-        address, length, _ = FRAME_ENTRY.unpack(journal.read(offset, FRAME_ENTRY.size))
-        if address + length > data_size:
-            break
-        keep = offset + FRAME_ENTRY.size
-        offset += FRAME_ENTRY.size
-    if keep < journal.size:
-        journal.truncate(keep)
 
 
 def recover(
@@ -358,9 +339,10 @@ def recover(
     reopened instance can append to it.  Every action is recorded in
     :attr:`RecoveredState.repairs`.
 
-    The record log is scanned exactly **once**; recounts, the
-    unsummarized tail, and timestamp-interval phases all fold into that
-    single pass.
+    The record log is decoded exactly **once**, by
+    :func:`~repro.core.record_log.decode_region`, into columns; the
+    per-source fold, summary recounts, the unsummarized tail and
+    timestamp-interval phases are array operations over them.
 
     ``metrics``, when given, receives per-phase duration gauges
     (``loom.recovery.phase_ns`` labelled by phase name) and a
@@ -370,8 +352,9 @@ def recover(
     ``archive_storage`` (with its optional sidecar ``archive_journal``)
     brings the cold tier into the picture: its frames are scanned *first*
     to learn the recycled boundary and retention floor, live archived
-    chunks are decoded into the same per-record accumulation the hot scan
-    feeds, and the hot record scan starts at the recycled boundary.  With
+    chunks decode to the same columns as the hot suffix and are
+    concatenated ahead of it, and the hot decode starts at the recycled
+    boundary.  With
     ``repair=True`` an unratified archive suffix (data frames whose
     covering ``RECYCLE`` never made it to disk) is truncated — the hot
     log is still authoritative for those chunks, so nothing is lost.
@@ -389,16 +372,11 @@ def recover(
     #     where the hot log's recycled prefix ends and what retention
     #     already retired, before any hot-log phase runs.
     # ------------------------------------------------------------------
-    arch_records: List[Tuple[int, int, int, int]] = []
+    parts: List[np.ndarray] = []
     with _phase("archive_scan"):
         if archive_storage is not None and archive_storage.size > 0:
-            _recover_archive(
-                state,
-                arch_records,
-                archive_storage,
-                archive_journal,
-                verify=verify,
-                repair=repair,
+            parts = _recover_archive(
+                state, archive_storage, archive_journal, verify=verify, repair=repair
             )
 
     # ------------------------------------------------------------------
@@ -429,7 +407,7 @@ def recover(
             torn = timestamp_storage.size - len(ts_entries) * _TS_ENTRY.size
             if torn and repair:
                 timestamp_storage.truncate(len(ts_entries) * _TS_ENTRY.size)
-                _trim_journal(timestamp_journal, timestamp_storage.size)
+                trim_journal(timestamp_journal, timestamp_storage.size)
                 repairs.append(f"timestamp index: dropped {torn}-byte torn tail")
 
     # ------------------------------------------------------------------
@@ -451,59 +429,42 @@ def recover(
             )
             if repair and scanned_end < chunk_storage.size:
                 chunk_storage.truncate(scanned_end)
-                _trim_journal(chunk_journal, chunk_storage.size)
+                trim_journal(chunk_journal, chunk_storage.size)
                 repairs.append("chunk index: dropped torn tail summary")
 
     # ------------------------------------------------------------------
-    # 3. THE single pass over the record log: collect light per-record
-    #    tuples; everything downstream derives from this list in memory.
-    #    The scan starts at the recycled boundary (chunks end on record
-    #    boundaries, so it is a valid origin); records below it come from
-    #    the archive decode in phase -1 and are prepended in address
-    #    order.
+    # 3. THE one decode of the record log, into columns; everything
+    #    downstream is array operations over them.  The decode starts at
+    #    the recycled boundary (chunks end on record boundaries, so it is
+    #    a valid origin); records below it come from the archive decode
+    #    in phase -1 and are concatenated ahead of it.
     # ------------------------------------------------------------------
     scan_start = state.recycled_upto
-    records: List[Tuple[int, int, int, int]] = []  # (addr, sid, ts, payload_len)
-    valid_end = scan_start
     with _phase("record_scan"):
+        buffer = _persisted_region(record_storage, scan_start)
         try:
-            for record in scan_persisted_records(
-                record_storage, verify_crc=verify, start=scan_start
-            ):
-                records.append(
-                    (record.address, record.source_id, record.timestamp, len(record.payload))
-                )
-                valid_end = record.address + record.size
+            hot = decode_region(buffer, scan_start, verify)
         except CorruptionError as exc:
             if not repair:
                 raise
             repairs.append(
                 f"record log: truncated at corrupt record (address {exc.address})"
             )
+            hot = decode_region(buffer[: exc.address - scan_start], scan_start)
+        valid_end = scan_start + hot.extent
+        records = np.concatenate(parts + [_rows(hot)])
         if repair and valid_end < record_storage.size:
             torn = record_storage.size - valid_end
             record_storage.truncate(valid_end)
-            _trim_journal(record_journal, valid_end)
+            trim_journal(record_journal, valid_end)
             if not any(r.startswith("record log: truncated") for r in repairs):
                 repairs.append(f"record log: dropped {torn}-byte torn tail")
-
-        records = arch_records + records
-        for address, source_id, timestamp, payload_len in records:
-            source = state.sources.get(source_id)
-            if source is None:
-                source = state.sources[source_id] = RecoveredSource(
-                    source_id=source_id, first_timestamp=timestamp
-                )
-            source.record_count += 1
-            source.last_timestamp = timestamp
-            source.last_addr = address
-            source.bytes_ingested += payload_len
-            state.total_records += 1
+        _fold_sources(state, records)
         state.record_bytes = valid_end
 
     # ------------------------------------------------------------------
     # 4. Cross-check summaries against the (possibly truncated) record
-    #    log, then recount per summary range from the in-memory list.
+    #    log, then recount per summary range from the decoded rows.
     # ------------------------------------------------------------------
     with _phase("summary_check"):
         _recover_summaries(
@@ -544,19 +505,17 @@ def recover(
 
 def _recover_archive(
     state: RecoveredState,
-    arch_records: List[Tuple[int, int, int, int]],
     archive_storage: Storage,
     archive_journal: Optional[Storage],
     verify: bool,
     repair: bool,
-) -> None:
+) -> List[np.ndarray]:
     """Phase -1 of :func:`recover`: adopt the cold tier.
 
     Walks the archive's self-describing frames, repairs (truncates) the
-    unratified suffix when asked, and decodes every live ratified chunk
-    into ``arch_records`` — the same light per-record tuples the hot scan
-    produces, so every downstream phase treats cold and hot records
-    uniformly.
+    unratified suffix when asked, and returns every live ratified chunk
+    decoded to rows — the same columns the hot decode produces, so every
+    downstream phase treats cold and hot records uniformly.
     """
     if archive_journal is not None:
         if repair:
@@ -570,7 +529,7 @@ def _recover_archive(
     if repair and archive_storage.size > scan.ratified_end:
         dropped = archive_storage.size - scan.ratified_end
         archive_storage.truncate(scan.ratified_end)
-        _trim_journal(archive_journal, scan.ratified_end)
+        trim_journal(archive_journal, scan.ratified_end)
         state.repairs.append(
             f"archive: truncated {dropped}-byte unratified suffix "
             f"(hot log stays authoritative for it)"
@@ -579,26 +538,35 @@ def _recover_archive(
     state.retention_floor = scan.retention_floor
     state.retention_mode = scan.retention_mode
     state.retention_keep_every = scan.retention_keep_every
-    for entry in scan.ratified_entries:
-        if entry.retired:
-            continue
-        state.archived_chunks += 1
-        state.archive_raw_bytes += entry.raw_len
-        state.archive_compressed_bytes += entry.compressed_len
-        columns = decode_frame(archive_storage, entry)
-        arch_records.extend(
-            zip(
-                columns.addresses.tolist(),
-                columns.source_ids.tolist(),
-                columns.timestamps.tolist(),
-                columns.lengths.tolist(),
-            )
-        )
+    live = [entry for entry in scan.ratified_entries if not entry.retired]
+    state.archived_chunks = len(live)
+    state.archive_raw_bytes = sum(entry.raw_len for entry in live)
+    state.archive_compressed_bytes = sum(entry.compressed_len for entry in live)
+    return [_rows(decode_frame(archive_storage, entry)) for entry in live]
+
+
+def _fold_sources(state: RecoveredState, records: np.ndarray) -> None:
+    """Per-source counts, payload bytes, first/last timestamps and chain
+    heads, from one grouping of the source column."""
+    sids, first, last, inverse = group_rows(records["sid"])
+    counts = np.bincount(inverse, minlength=len(sids))
+    payload = np.bincount(inverse, weights=records["len"], minlength=len(sids))
+    timestamps = records["ts"]
+    for sid, count, nbytes, t_first, t_last, head in zip(
+        sids.tolist(),
+        counts.tolist(),
+        payload.astype(np.int64).tolist(),
+        timestamps[first].tolist(),
+        timestamps[last].tolist(),
+        records["addr"][last].tolist(),
+    ):
+        state.sources[sid] = RecoveredSource(sid, count, t_first, t_last, head, nbytes)
+    state.total_records = len(records)
 
 
 def _recover_summaries(
     state: RecoveredState,
-    records: List[Tuple[int, int, int, int]],
+    records: np.ndarray,
     summaries: List[ChunkSummary],
     summary_offsets: List[int],
     chunk_storage: Optional[Storage],
@@ -614,15 +582,14 @@ def _recover_summaries(
     summary-only."""
     repairs = state.repairs
     if chunk_storage is not None:
-        kept = len(summaries)
-        for i, summary in enumerate(summaries):
-            if summary.end_addr > valid_end:
-                kept = i
-                break
+        kept = next(
+            (i for i, summary in enumerate(summaries) if summary.end_addr > valid_end),
+            len(summaries),
+        )
         if kept < len(summaries):
             if repair:
                 chunk_storage.truncate(summary_offsets[kept])
-                _trim_journal(chunk_journal, chunk_storage.size)
+                trim_journal(chunk_journal, chunk_storage.size)
                 repairs.append(
                     f"chunk index: dropped {len(summaries) - kept} summaries "
                     f"past record-log end {valid_end}"
@@ -662,11 +629,7 @@ def _recover_summaries(
         state.summaries = live
         state.summary_states = states
         state.covered_addr = covered_addr
-        state.unsummarized_tail = [
-            (addr, sid, ts)
-            for addr, sid, ts, _len in records
-            if addr >= state.covered_addr
-        ]
+        state.unsummarized_tail = records[records["addr"] >= covered_addr]
         state.unsummarized_records = len(state.unsummarized_tail)
         if verify:
             _verify_summaries(records, live, states)
@@ -674,7 +637,7 @@ def _recover_summaries(
 
 def _recover_timestamps(
     state: RecoveredState,
-    records: List[Tuple[int, int, int, int]],
+    records: np.ndarray,
     ts_entries: List[Tuple[int, int, int, int]],
     timestamp_storage: Optional[Storage],
     timestamp_journal: Optional[Storage],
@@ -687,15 +650,15 @@ def _recover_timestamps(
     per-source sampling-interval phases."""
     repairs = state.repairs
     if timestamp_storage is not None:
-        kept_entries = len(ts_entries)
-        for i, (_ts, kind, _sid, addr) in enumerate(ts_entries):
-            if kind == KIND_RECORD and addr >= valid_end:
-                kept_entries = i
-                break
+        kept_entries = next(
+            (i for i, (_ts, kind, _sid, addr) in enumerate(ts_entries)
+             if kind == KIND_RECORD and addr >= valid_end),
+            len(ts_entries),
+        )
         if kept_entries < len(ts_entries):
             if repair:
                 timestamp_storage.truncate(kept_entries * _TS_ENTRY.size)
-                _trim_journal(timestamp_journal, timestamp_storage.size)
+                trim_journal(timestamp_journal, timestamp_storage.size)
                 repairs.append(
                     f"timestamp index: dropped {len(ts_entries) - kept_entries} "
                     f"entries past record-log end {valid_end}"
@@ -712,26 +675,17 @@ def _recover_timestamps(
                 ts_entries = ts_entries[:kept_entries]
         state.timestamp_entries = ts_entries
         if chunk_storage is not None:
-            chunk_events = sum(
-                1 for _, kind, _, _ in ts_entries if kind == KIND_CHUNK
-            )
+            chunk_events = [i for i, entry in enumerate(ts_entries) if entry[1] == KIND_CHUNK]
             # Every finalized summary wrote exactly one CHUNK event; the
             # timestamp log may trail by in-memory entries lost in a crash.
             # Retired summaries were dropped from state.summaries but their
             # CHUNK events are still in the (append-only) timestamp log.
             persisted = len(state.summaries) + state.retired_chunks
-            if chunk_events > persisted:
+            if len(chunk_events) > persisted:
                 if repair:
-                    seen = 0
-                    cut = len(ts_entries)
-                    for i, (_ts, kind, _sid, _addr) in enumerate(ts_entries):
-                        if kind == KIND_CHUNK:
-                            seen += 1
-                            if seen > persisted:
-                                cut = i
-                                break
+                    cut = chunk_events[persisted]
                     timestamp_storage.truncate(cut * _TS_ENTRY.size)
-                    _trim_journal(timestamp_journal, timestamp_storage.size)
+                    trim_journal(timestamp_journal, timestamp_storage.size)
                     repairs.append(
                         f"timestamp index: dropped {len(ts_entries) - cut} "
                         f"entries (chunk events without summaries)"
@@ -740,48 +694,48 @@ def _recover_timestamps(
                     state.timestamp_entries = ts_entries
                 elif verify:
                     raise CorruptionError(
-                        f"timestamp index records {chunk_events} chunk events "
+                        f"timestamp index records {len(chunk_events)} chunk events "
                         f"but only {persisted} summaries were persisted"
                     )
         # Per-source sampling phase: records since the last RECORD entry.
-        last_entry_addr: Dict[int, int] = {}
-        for _ts, kind, sid, addr in ts_entries:
-            if kind == KIND_RECORD:
-                last_entry_addr[sid] = addr
-        since: Dict[int, int] = {}
-        for addr, sid, _ts, _len in records:
-            last = last_entry_addr.get(sid)
-            if last is not None and addr > last:
-                since[sid] = since.get(sid, 0) + 1
-        for sid in last_entry_addr:
-            since.setdefault(sid, 0)
-        state.records_since_ts_entry = since
+        # The ids that have one are sorted, ahead of a sentinel above
+        # every u32 id, so each row finds its own with one searchsorted.
+        last_entry_addr = {
+            sid: addr for _ts, kind, sid, addr in ts_entries if kind == KIND_RECORD
+        }
+        sids = sorted(last_entry_addr)
+        keys = np.array(sids + [1 << 32], np.int64)
+        lasts = np.array([last_entry_addr[sid] for sid in sids] + [NULL_ADDRESS], np.uint64)
+        pos = np.searchsorted(keys, records["sid"])
+        after = (keys[pos] == records["sid"]) & (records["addr"] > lasts[pos])
+        since = np.bincount(pos[after], minlength=len(sids))
+        state.records_since_ts_entry = dict(zip(sids, since.tolist()))
 
 
 def _verify_summaries(
-    records: List[Tuple[int, int, int, int]],
+    records: np.ndarray,
     summaries: List[ChunkSummary],
     states: Optional[List[int]] = None,
 ) -> None:
-    """Recount records per summary range (from the already-scanned list)
-    and compare with summary claims.  Summary-only chunks are exempt:
-    their raw records were dropped by retention, so the recount is zero
-    by design."""
-    counts: Dict[Tuple[int, int], int] = {}
-    bounds = [(s.start_addr, s.end_addr) for s in summaries]
-    i = 0
-    for address, source_id, _ts, _len in records:
-        while i < len(bounds) and address >= bounds[i][1]:
-            i += 1
-        if i >= len(bounds):
-            break
-        if address >= bounds[i][0]:
-            counts[(i, source_id)] = counts.get((i, source_id), 0) + 1
-    for pos, summary in enumerate(summaries):
-        if states is not None and states[pos] != STATE_LIVE:
+    """Recount records per summary range (from the already-decoded rows)
+    and compare with summary claims.  Each row finds its summary with one
+    ``searchsorted`` over the end addresses, and one count over
+    ``(summary, source)`` keys does the rest.  Summary-only chunks are
+    exempt: their raw records were dropped by retention, so the recount
+    is zero by design."""
+    addrs = records["addr"]
+    starts = np.array([s.start_addr for s in summaries], np.uint64)
+    ends = np.array([s.end_addr for s in summaries], np.uint64)
+    pos = np.searchsorted(ends, addrs, side="right")
+    inside = pos < len(summaries)
+    inside[inside] = addrs[inside] >= starts[pos[inside]]
+    keys, counts = np.unique((pos[inside] << 32) | records["sid"][inside], return_counts=True)
+    counted = dict(zip(keys.tolist(), counts.tolist()))
+    for i, summary in enumerate(summaries):
+        if states is not None and states[i] != STATE_LIVE:
             continue
         for source_id, info in summary.sources.items():
-            actual = counts.get((pos, source_id), 0)
+            actual = counted.get(i << 32 | source_id, 0)
             if actual != info.record_count:
                 raise CorruptionError(
                     f"summary for chunk {summary.chunk_id} claims "
@@ -848,17 +802,21 @@ def check_data_dir(
     per-phase timing.
     """
     cfg = LoomConfig(data_dir=data_dir)
-    record_path = cfg.record_log_path()
-    if record_path is None or not os.path.exists(record_path):
-        raise LoomError(f"no record log at {record_path!r}")
+    report = CheckReport(data_dir=data_dir, repair=repair)
+    for label, path in _data_files(cfg):
+        size = os.path.getsize(path) if path is not None and os.path.exists(path) else None
+        report.logs.append(LogCheck(label, path, size is not None, size or 0))
+    try:
+        report.state = recover_data_dir(cfg, verify=True, repair=repair, metrics=metrics)
+    except CorruptionError as exc:
+        report.error = exc
+    return report
 
-    def _open(path: Optional[str]) -> Optional[Storage]:
-        if path is not None and os.path.exists(path):
-            return FileStorage(path)
-        return None
 
-    labelled: List[Tuple[str, Optional[str]]] = [
-        ("record log", record_path),
+def _data_files(cfg: LoomConfig) -> List[Tuple[str, Optional[str]]]:
+    """Every file of a data dir, labelled, in report order."""
+    return [
+        ("record log", cfg.record_log_path()),
         ("chunk index", cfg.chunk_index_path()),
         ("timestamp index", cfg.timestamp_index_path()),
         ("archive log", cfg.archive_log_path()),
@@ -867,40 +825,40 @@ def check_data_dir(
         ("timestamp-index journal", cfg.timestamp_index_journal_path()),
         ("archive journal", cfg.archive_journal_path()),
     ]
-    storages: List[Optional[Storage]] = [_open(path) for _label, path in labelled]
-    report = CheckReport(
-        data_dir=data_dir,
-        repair=repair,
-        logs=[
-            LogCheck(
-                label=label,
-                path=path,
-                present=storage is not None,
-                size_bytes=storage.size if storage is not None else 0,
-            )
-            for (label, path), storage in zip(labelled, storages)
-        ],
-    )
-    record_storage = storages[0]
-    assert record_storage is not None  # record_path existence checked above
+
+
+def recover_data_dir(
+    cfg: LoomConfig,
+    verify: bool = True,
+    repair: bool = False,
+    metrics: Optional[MetricsRegistry] = None,
+) -> RecoveredState:
+    """:func:`recover` over every file of ``cfg.data_dir`` that exists,
+    each opened by its label and closed afterwards; the one place the
+    data-dir files meet :func:`recover`'s parameters.  A missing record
+    log raises :class:`LoomError` (there is nothing to recover)."""
+    record_path = cfg.record_log_path()
+    if record_path is None or not os.path.exists(record_path):
+        raise LoomError(f"no record log at {record_path!r}")
+    files: Dict[str, Storage] = {
+        label: FileStorage(path)
+        for label, path in _data_files(cfg)
+        if path is not None and os.path.exists(path)
+    }
     try:
-        report.state = recover(
-            record_storage,
-            chunk_storage=storages[1],
-            timestamp_storage=storages[2],
-            verify=True,
+        return recover(
+            files["record log"],
+            chunk_storage=files.get("chunk index"),
+            timestamp_storage=files.get("timestamp index"),
+            verify=verify,
             repair=repair,
-            record_journal=storages[4],
-            chunk_journal=storages[5],
-            timestamp_journal=storages[6],
+            record_journal=files.get("record-log journal"),
+            chunk_journal=files.get("chunk-index journal"),
+            timestamp_journal=files.get("timestamp-index journal"),
             metrics=metrics,
-            archive_storage=storages[3],
-            archive_journal=storages[7],
+            archive_storage=files.get("archive log"),
+            archive_journal=files.get("archive journal"),
         )
-    except CorruptionError as exc:
-        report.error = exc
     finally:
-        for storage in storages:
-            if storage is not None:
-                storage.close()
-    return report
+        for storage in files.values():
+            storage.close()

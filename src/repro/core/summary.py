@@ -29,6 +29,22 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 
+def group_rows(
+    source_ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by source, sources in order of first appearance.
+
+    Returns ``(sids, first, last, inverse)``: each source's id and the
+    indexes of its first and last rows, and each row's group.
+    """
+    sids, first, inverse = np.unique(source_ids, return_index=True, return_inverse=True)
+    last = len(source_ids) - 1 - np.unique(source_ids[::-1], return_index=True)[1]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return sids[order], first[order], last[order], rank[inverse]
+
+
 @dataclass
 class BinStats:
     """Statistics for values of one (source, index) falling into one bin."""
@@ -147,6 +163,33 @@ class ChunkSummary:
         info.record_count += n
         info.t_max = timestamp
         info.last_record_addr = addresses[-1]
+
+    @classmethod
+    def from_rows(
+        cls,
+        chunk_id: int,
+        start_addr: int,
+        end_addr: int,
+        source_ids: np.ndarray,
+        timestamps: np.ndarray,
+        addresses: np.ndarray,
+    ) -> "ChunkSummary":
+        """The summary one :meth:`add_record` per row would build from a
+        non-empty run of rows of any sources, in address order, in one
+        columnar fold (recovery's re-finalize of a lost chunk): each
+        source's first and last rows give its timestamps and chain head."""
+        sids, first, last, inverse = group_rows(source_ids)
+        rows = zip(
+            sids.tolist(),
+            np.bincount(inverse).tolist(),
+            timestamps[first].tolist(),
+            timestamps[last].tolist(),
+            addresses[last].tolist(),
+        )
+        return cls(
+            chunk_id, start_addr, end_addr, int(timestamps[0]), int(timestamps[-1]),
+            len(source_ids), {sid: SourceChunkInfo(*info) for sid, *info in rows},
+        )
 
     def add_indexed_value(
         self,

@@ -7,7 +7,8 @@ ACCEPTANCE scenarios for the tiered-storage API:
   ``region_columns`` decodes from the original region, and re-framing
   those columns rebuilds the region *byte-identically* (framing and CRCs
   are deterministic functions of the columns) — checked against the
-  original per-record decode loop, kept here as the reference decoder;
+  original per-record encode and decode loops, kept here as the
+  reference codec;
 * migrating finalized chunks into the archive changes no query answer,
   and the cold read path decompresses only the chunks a query actually
   needs (counter-backed: summary-only aggregates decompress nothing);
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.core.archive import (
     FLAG_TRANSPOSED,
-    _put_varint,
     decode_chunk_region,
     encode_chunk_streams,
     encode_region,
@@ -45,8 +45,8 @@ from repro.core.errors import AddressError, CorruptionError, LoomError, StaleVie
 from repro.core.hybridlog import NULL_ADDRESS
 from repro.core.loom import Loom
 from repro.core.operators import QueryStats
-from repro.core.record import HEADER_SIZE, encode_record
-from repro.core.record_log import RecordLog
+from repro.core.record import HEADER_SIZE, decode_header, encode_record
+from repro.core.record_log import RecordLog, decode_region
 from repro.core.recovery import check_data_dir
 
 _VALUE = struct.Struct("<d")
@@ -111,6 +111,110 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
+def _put_varint(out: bytearray, value: int) -> None:
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _zigzag(value: int) -> int:
+    return (value << 1) if value >= 0 else ((-value << 1) - 1)
+
+
+def iter_region_records(
+    region: bytes, start_addr: int
+) -> Iterator[Tuple[int, int, int, int, int]]:
+    """Walk a raw chunk region, yielding per-record header columns.
+
+    Yields ``(address, source_id, timestamp, prev_addr, payload_len)``
+    for each record; raises :class:`CorruptionError` if the records do
+    not tile the region exactly.
+    """
+    offset = 0
+    size = len(region)
+    while offset < size:
+        if offset + HEADER_SIZE > size:
+            raise CorruptionError(
+                "record header straddles the chunk region end",
+                address=start_addr + offset,
+            )
+        source_id, timestamp, prev_addr, length = decode_header(region, offset)
+        if offset + HEADER_SIZE + length > size:
+            raise CorruptionError(
+                "record payload straddles the chunk region end",
+                address=start_addr + offset,
+            )
+        yield start_addr + offset, source_id, timestamp, prev_addr, length
+        offset += HEADER_SIZE + length
+
+
+def encode_chunk_streams_scalar(
+    region: bytes, start_addr: int
+) -> Tuple[bytes, bytes, int, int]:
+    """Reference encoder: one Python varint loop per column over the raw
+    region, exact Python-int zigzag (up to 66 bits).
+
+    The oracle for the whole-array :func:`encode_chunk_streams`: the
+    streams match byte for byte wherever every delta-of-delta fits in
+    i64; past that the columnar encoder zigzags the delta-of-delta mod
+    2^64, which decodes to the same timestamps.
+    """
+    sids: List[int] = []
+    timestamps: List[int] = []
+    prev_deltas: List[int] = []
+    lengths: List[int] = []
+    payloads: List[bytes] = []
+    for address, sid, timestamp, prev_addr, length in iter_region_records(
+        region, start_addr
+    ):
+        sids.append(sid)
+        timestamps.append(timestamp)
+        prev_deltas.append(0 if prev_addr == _NULL else address - prev_addr)
+        lengths.append(length)
+        offset = address - start_addr + HEADER_SIZE
+        payloads.append(region[offset : offset + length])
+
+    stream = bytearray()
+    count = len(sids)
+    _put_varint(stream, count)
+    for sid in sids:
+        _put_varint(stream, sid)
+    prev_ts = 0
+    prev_delta = 0
+    for i, timestamp in enumerate(timestamps):
+        if i == 0:
+            _put_varint(stream, timestamp)
+        else:
+            delta = timestamp - prev_ts
+            _put_varint(stream, _zigzag(delta - prev_delta))
+            prev_delta = delta
+        prev_ts = timestamp
+    for back in prev_deltas:
+        _put_varint(stream, back)
+    for length in lengths:
+        _put_varint(stream, length)
+
+    blob = b"".join(payloads)
+    flags = 0
+    if count > 0 and lengths[0] > 0 and all(n == lengths[0] for n in lengths):
+        width = lengths[0]
+        blob = (
+            np.frombuffer(blob, dtype=np.uint8)
+            .reshape(count, width)
+            .T.tobytes()
+        )
+        flags |= FLAG_TRANSPOSED
+    return bytes(stream), blob, count, flags
+
+
+def _dods_fit_i64(region: bytes) -> bool:
+    """Does every timestamp delta-of-delta of ``region`` fit in i64?"""
+    timestamps = [ts for _a, _s, ts, _p, _l in iter_region_records(region, 0)]
+    deltas = [0] + [b - a for a, b in zip(timestamps, timestamps[1:])]
+    return all(-(2**63) <= b - a < 2**63 for a, b in zip(deltas, deltas[1:]))
+
+
 def decode_chunk_region_scalar(
     header_stream: bytes,
     payload_blob: bytes,
@@ -124,6 +228,8 @@ def decode_chunk_region_scalar(
 
     The oracle for the whole-array :func:`decode_chunk_region`: the
     codec tests assert both decode the same frame to the same records.
+    Timestamps are the u64 header field's, so they are taken mod 2^64
+    (a delta-of-delta zigzagged mod 2^64 decodes to the same value).
     """
     pos = 0
     count, pos = _get_varint(header_stream, pos)
@@ -147,7 +253,7 @@ def decode_chunk_region_scalar(
             dod, pos = _get_varint(header_stream, pos)
             prev_delta += _unzigzag(dod)
             prev_ts += prev_delta
-            timestamps.append(prev_ts)
+            timestamps.append(prev_ts % 2**64)
     backs: List[int] = []
     for _ in range(count):
         back, pos = _get_varint(header_stream, pos)
@@ -213,10 +319,14 @@ def _region_at(region: bytes, start_addr: int) -> RecordLog:
 
 class TestCodec:
     def _roundtrip(self, region, start_addr=0):
-        """Frame columns == ``region_columns`` of the original region, and
+        """Frame columns == ``region_columns`` of the original region,
         both the re-framed columns and the reference decoder give the
-        region back byte for byte."""
-        header, blob, count, flags = encode_chunk_streams(region, start_addr)
+        region back byte for byte, and the streams are the reference
+        encoder's wherever every delta-of-delta fits in i64."""
+        streams = encode_chunk_streams(decode_region(region, start_addr))
+        if _dods_fit_i64(region):
+            assert streams == encode_chunk_streams_scalar(region, start_addr)
+        header, blob, count, flags = streams
         columns = decode_chunk_region(header, blob, start_addr, count, len(region), flags)
         log = _region_at(region, start_addr)
         try:
@@ -262,7 +372,7 @@ class TestCodec:
         region = b""
         for i in range(16):
             region += encode_record(3, 10 * i, NULL_ADDRESS, _VALUE.pack(float(i)))
-        _header, _blob, _count, flags = encode_chunk_streams(region, 0)
+        _header, _blob, _count, flags = encode_chunk_streams(decode_region(region, 0))
         assert flags & FLAG_TRANSPOSED
         self._roundtrip(region)
 
@@ -299,13 +409,41 @@ class TestCodec:
             region += encode_record(sid, timestamp, prev, payload)
         self._roundtrip(region, start_addr)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**62 - 1),
+                st.booleans(),
+                st.binary(max_size=24),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        start_addr=st.one_of(st.just(0), st.integers(HEADER_SIZE, 4096)),
+    )
+    def test_streams_match_the_scalar_encoder(self, rows, start_addr):
+        """Timestamps below 2^62 keep every delta-of-delta inside i64, so
+        the whole-array encoder must emit the reference encoder's streams
+        byte for byte: the frame format is unchanged."""
+        region = b""
+        last = {}
+        for sid, timestamp, chained, payload in rows:
+            prev = last.get(sid, NULL_ADDRESS) if chained else NULL_ADDRESS
+            last[sid] = start_addr + len(region)
+            region += encode_record(sid, timestamp, prev, payload)
+        assert encode_chunk_streams(
+            decode_region(region, start_addr)
+        ) == encode_chunk_streams_scalar(region, start_addr)
+
     def test_malformed_header_streams_raise_corruption(self):
         """A damaged varint stream is a typed error naming the chunk, not
         an ``IndexError`` or a silently short chunk."""
         region = b"".join(
             encode_record(1, 100 + i, NULL_ADDRESS, b"abc") for i in range(4)
         )
-        header, blob, count, flags = encode_chunk_streams(region, 56)
+        header, blob, count, flags = encode_chunk_streams(decode_region(region, 56))
 
         def decode(stream=header, count=count, raw_len=len(region), payload=blob):
             with pytest.raises(CorruptionError) as exc_info:
@@ -332,7 +470,7 @@ class TestCodec:
             addr = len(region)
             region += encode_record(1, 1_000_000 + 250 * i, prev, _payload(i % 8))
             prev = addr
-        header, blob, _count, _flags = encode_chunk_streams(region, 0)
+        header, blob, _count, _flags = encode_chunk_streams(decode_region(region, 0))
         compressed = len(zlib.compress(header, 6)) + len(zlib.compress(blob, 6))
         assert compressed * 4 <= len(region)
 

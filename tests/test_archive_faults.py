@@ -10,6 +10,10 @@ Exercises the crash-safety claims of the migration commit protocol
   drops the unratified frames;
 * a storage failure mid-pass aborts the whole pass cleanly and a retry
   succeeds with byte-identical answers;
+* a flipped byte in a hot record fails the migration pass that would
+  archive it, in whichever pass that is, and leaves the archive as it
+  was; from the auto-migration path inside ``push`` the error is parked
+  instead of failing ingest;
 * a ratified frame damaged on disk (a flipped byte in its header or its
   payload stream) makes every cold read of its chunk raise a typed
   :class:`CorruptionError` naming the chunk, never a bare ``zlib.error``,
@@ -28,7 +32,9 @@ from repro.core.config import LoomConfig, TierConfig
 from repro.core.errors import CorruptionError
 from repro.core.faults import FaultInjectingStorage, corrupt_byte
 from repro.core.histogram import HistogramSpec
+from repro.core.hybridlog import journal_entries
 from repro.core.loom import Loom
+from repro.core.record import HEADER_SIZE
 from repro.core.recovery import check_data_dir
 
 pytestmark = pytest.mark.faults
@@ -174,6 +180,108 @@ class TestMidPassFailure:
         assert report.chunks_migrated > 0
         assert loom.record_log.cold_boundary > 0
         assert _scan_bytes(loom) == before
+        loom.close()
+
+
+def _record_at_or_after(loom, address):
+    """The first record at or above ``address`` (chunks end on records)."""
+    records = [r for r in loom.scan(1, ALL_TIME).records if r.address >= address]
+    return min(records, key=lambda r: r.address)
+
+
+class TestCorruptHotRecord:
+    def test_flipped_hot_byte_is_not_laundered_into_the_archive(self, tmp_path):
+        """Archive frames keep no per-record CRC, so a pass must check the
+        hot records it archives: a flipped payload byte in a middle chunk
+        fails the pass with a typed error naming the record, the frames
+        already written for earlier chunks are discarded, and the
+        corruption stays where ``check_data_dir`` still finds it."""
+        cfg = _tiered_config(tmp_path)
+        clock = VirtualClock(1_000)
+        loom = Loom(cfg, clock=clock)
+        _fill(loom, clock)
+        log = loom.record_log
+        storage = log.log.storage
+        record = _record_at_or_after(loom, 3 * cfg.chunk_size)
+        victim = record.address + HEADER_SIZE + 3
+        corrupt_byte(storage, victim, 0x40)
+        with pytest.raises(CorruptionError, match="fails its CRC") as exc_info:
+            loom.migrate(force=True)
+        assert exc_info.value.address == record.address
+        assert log.cold_boundary == 0
+        assert log.archive.size == 0 and log.archive.chunk_count == 0
+        assert log.archive.journal_size == 0
+        corrupt_byte(storage, victim, 0x40)  # restored for close's oracles
+        loom.close()
+        corrupt_byte(storage, victim, 0x40)
+
+        report = check_data_dir(str(tmp_path))
+        assert not report.ok
+        assert report.error.address <= record.address
+
+    def test_byte_flipped_between_passes_is_caught(self, tmp_path):
+        """The bytes each pass archives are checked in that pass: a byte
+        flipped after one pass, in the part of a flush extent the pass
+        left hot, fails the next pass."""
+        cfg = _tiered_config(tmp_path)
+        clock = VirtualClock(1_000)
+        loom = Loom(cfg, clock=clock)
+        _fill(loom, clock, count=200)
+        log = loom.record_log
+        boundary = loom.migrate(force=True).cold_boundary
+        assert any(
+            address < boundary < address + length
+            for address, length, _ in journal_entries(log.log.frame_journal)
+        )  # the pass stopped inside a flush extent
+        record = _record_at_or_after(loom, boundary)
+        victim = record.address + HEADER_SIZE + 1
+        corrupt_byte(log.log.storage, victim, 0x08)
+        for i in range(200):
+            loom.push(1, _payload(i))
+            clock.advance(1)
+        archived = log.archive.chunk_count
+        with pytest.raises(CorruptionError) as exc_info:
+            loom.migrate(force=True)
+        assert exc_info.value.address == record.address
+        assert log.cold_boundary == boundary
+        assert log.archive.chunk_count == archived
+        corrupt_byte(log.log.storage, victim, 0x08)
+        report = loom.migrate(force=True)  # repaired bytes migrate cleanly
+        assert report.cold_boundary > boundary
+        loom.close()
+
+    def test_auto_migration_parks_the_error_and_ingest_goes_on(self, tmp_path):
+        """Auto-migration runs inside ``push``: a damaged hot record must
+        not fail ingest.  The first failing pass parks the error and
+        stops auto-migration; pushes past the watermark keep landing,
+        with one summary per chunk, and a manual pass raises again."""
+        cfg = _tiered_config(
+            tmp_path,
+            tier=TierConfig(
+                migrate_high_watermark=6, migrate_low_watermark=2, auto_migrate=True
+            ),
+        )
+        clock = VirtualClock(1_000)
+        loom = Loom(cfg, clock=clock)
+        _fill(loom, clock, count=100)
+        log = loom.record_log
+        assert log.cold_boundary == 0  # below the high watermark so far
+        victim = HEADER_SIZE + 3  # a payload byte of the first record
+        corrupt_byte(log.log.storage, victim, 0x40)
+        for i in range(600):
+            loom.push(1, _payload(i))
+            clock.advance(1)
+        assert log.cold_boundary == 0
+        assert isinstance(log.migration_error, CorruptionError)
+        assert log.migration_error.address == 0
+        assert loom.metrics.snapshot().get("loom.archive.migration_errors_total").value == 1
+        chunk_ids = [s.chunk_id for s in log.chunk_index.finalized_after(0)]
+        assert chunk_ids == sorted(set(chunk_ids)) and len(chunk_ids) > 6
+        assert log.archive.chunk_count == 0
+        assert loom.record_log.total_records == 700
+        with pytest.raises(CorruptionError):
+            loom.migrate(force=True)
+        corrupt_byte(log.log.storage, victim, 0x40)  # restored for close's oracles
         loom.close()
 
 

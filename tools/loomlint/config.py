@@ -215,6 +215,7 @@ READER_ROOTS = (
     "repro.core.record_log.RecordLog.active_region_start",
     "repro.core.record_log.RecordLog.region_columns",
     "repro.core.record_log.RecordLog._hot_columns",
+    "repro.core.record_log.decode_region",
     "repro.core.record_log.RecordLog._cold_columns",
     "repro.core.record_log.RecordLog._region_buffer",
     "repro.core.record_log.RegionColumns.*",
@@ -558,11 +559,14 @@ CONTRACT_DOCSTRINGS = {
 # storage — and the calls that propagate or launder that taint.
 # ----------------------------------------------------------------------
 #: Method names that mint a view no matter the receiver (the names are
-#: unique to the zero-copy tier in this codebase).
+#: unique to the zero-copy tier in this codebase).  ``decode_region``
+#: returns columns over whatever buffer it is handed — a storage view on
+#: the query and recovery paths — so its result counts as a borrow too.
 VIEW_SOURCE_METHODS = frozenset(
     {
         "read_view",
         "region_columns",
+        "decode_region",
         "payload_view",
         "flush_view",
     }
