@@ -30,10 +30,7 @@ range pays a decompression.  This module implements that trade
   authoritative, nothing is lost or duplicated.
 * **Migrator** — moves finalized, fully persisted chunks whose records
   pass their CRCs into the archive with watermark hysteresis, then
-  routes the hot-prefix recycle
-  through the storage poison hooks so outstanding zero-copy views fail
-  with a typed :class:`~repro.core.errors.StaleViewError` instead of
-  reading recompressed bytes.
+  recycles the hot prefix they came from.
 
 Reader-path discipline: decompressed chunk reads are reachable from
 query threads (``RecordLog.read_record`` is a loomlint LOOM101 reader
@@ -56,7 +53,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import viewguard
 from .errors import AddressError, CorruptionError
 from .hybridlog import FRAME_ENTRY, trim_journal
 from .metrics import Counter
@@ -161,7 +157,7 @@ def encode_chunk_streams(columns: "RegionColumns") -> Tuple[bytes, bytes, int, i
             dtype=np.uint64,
         )
     )
-    raw = np.frombuffer(viewguard.unwrap(columns.buffer), np.uint8)
+    raw = np.frombuffer(columns.buffer, np.uint8)
     width = int(lengths[0]) if n else 0
     if width and bool((lengths == width).all()):
         # The rows tile the buffer from its first byte, so equal widths
@@ -607,8 +603,8 @@ class ArchiveLog:
         self, chunk_id: int, stats: "Optional[QueryStats]" = None
     ) -> "RegionColumns":
         """One archived chunk's :class:`~repro.core.record_log.RegionColumns`
-        (cached): read-only arrays over its owned payload blob, outside
-        the zero-copy borrow rules.  A cache miss is :func:`decode_frame`.
+        (cached): read-only arrays over its owned payload blob.  A cache
+        miss is :func:`decode_frame`.
         ``stats``, when given, receives per-query cold-decompression
         accounting (cache hits do not count).
 
@@ -679,7 +675,7 @@ class ChunkMigrator:
        nothing is ratified and the boundary stays where it was;
     2. append the ``RECYCLE`` frame advancing the boundary, fsync;
     3. publish the boundary to readers (GIL-atomic store) and recycle
-       the hot prefix through the storage poison hooks.
+       the hot prefix.
 
     A crash between 1 and 2 leaves unratified data frames that reopen
     truncates — the hot chunks stay authoritative.  A crash after 2 is
@@ -737,11 +733,8 @@ class ChunkMigrator:
         try:
             for summary in eligible:
                 start, end = summary.start_addr, summary.end_addr
-                # One owned read per chunk, not a view of the mmap tier: a
-                # pass over the whole hot log through the map would keep
-                # every page it touched resident, and no borrow may reach
-                # commit_migration.  Frames keep no per-record CRC, so each
-                # record is checked here, on the bytes being archived.
+                # One read per chunk.  Frames keep no per-record CRC, so
+                # each record is checked here, on the bytes being archived.
                 region = decode_region(log.log.read(start, end - start), start, verify=True)
                 entry = archive.append_chunk(summary.chunk_id, start, end, region)
                 records += entry.record_count

@@ -24,9 +24,9 @@ watermark, and bytes below the watermark are immutable until recycle.
 from __future__ import annotations
 
 import threading
-from typing import Optional, cast
+from typing import Optional
 
-from . import viewguard, yieldpoints
+from . import yieldpoints
 from .errors import SnapshotRetry
 
 #: Default attempt budget for :meth:`Block.read_range`.  Torn copies are
@@ -53,7 +53,6 @@ class Block:
         "_buf",
         "_version",
         "_lock",
-        "_views",
     )
 
     def __init__(self, capacity: int) -> None:
@@ -70,8 +69,6 @@ class Block:
         # Even = stable, odd = mid-recycle. Starts at 0 (stable, unmapped).
         self._version = 0
         self._lock = threading.Lock()
-        #: Outstanding flush-view borrows (view-lifetime guard, LOOMSAN only).
-        self._views: Optional[viewguard.Ledger] = None
 
     # ------------------------------------------------------------------
     # Writer-side operations (single writer thread)
@@ -122,65 +119,30 @@ class Block:
         """
         return bytes(self._buf[: self.filled])
 
-    def flush_view(self) -> memoryview:  # loomflow: borrows=call
-        """Writer-side zero-copy view of the filled prefix (for flushing).
+    def flush_view(self) -> memoryview:
+        """Writer-side view of the filled prefix, for flushing.
 
         Like :meth:`snapshot_bytes` but without the copy: the returned
-        memoryview aliases the block's buffer.  It is only valid until the
-        block is recycled — a storage backend that wants to keep it past
-        the flush must take ownership via the buffer-handoff protocol
-        (``recycle(release_buffer=True)`` swaps in a fresh buffer so the
-        view's bytes are never overwritten).
-
-        Under the view-lifetime guard (``LOOMSAN=1``) the view is tracked:
-        a plain recycle poisons it, so holding it across the recycle is a
-        typed :class:`~repro.core.errors.StaleViewError` instead of a
-        silent read of the next block's bytes.
+        memoryview aliases the block's buffer, so it is only valid until
+        the block is recycled.  The flush hands it to storage, which
+        copies or writes it, and releases it before the recycle.
         """
-        # Read-only: storage backends only ever copy or retain flushed
-        # bytes, never write through the flush view.
-        view = memoryview(self._buf)[: self.filled].toreadonly()
-        if viewguard.active:  # tracked so recycle() can poison it
-            if self._views is None:
-                self._views = viewguard.Ledger()
-            return cast(memoryview, self._views.borrow(view, 0, self.filled))
-        return view
+        # Read-only: storage backends only copy or write flushed bytes.
+        return memoryview(self._buf)[: self.filled].toreadonly()
 
-    def recycle(self, release_buffer: bool = False) -> None:
+    def recycle(self) -> None:
         """Invalidate the block so it can be remapped for new log space.
 
         Bumps the version to odd, clears the mapping, then bumps back to
         even.  Readers racing with this observe a version change and fall
         back to storage.
-
-        When ``release_buffer`` is true the block hands its buffer away:
-        a storage backend retained the :meth:`flush_view` memoryview
-        zero-copy, so the block swaps in a fresh buffer instead of reusing
-        (and overwriting) the retained one.  The swap happens inside the
-        odd-version window, so racing readers see a torn copy and fall
-        back to storage exactly as for a plain recycle.
-
-        View-lifetime guard: a plain recycle reuses (and will overwrite)
-        the buffer, so it poisons all outstanding tracked flush views; a
-        buffer handoff leaves them valid — the retained buffer is
-        immutable from here on — so they are merely untracked.
         """
-        if self._views is not None:
-            if release_buffer:
-                self._views.clear()
-            else:
-                self._views.invalidate_all(
-                    "staging block recycled; its buffer is being reused for "
-                    "a later part of the log"
-                )
         with self._lock:
             yieldpoints.hit("block.recycle.begin", block=self)
             self._version += 1  # now odd: mid-recycle
             yieldpoints.hit("block.recycle.odd", block=self, version=self._version)
             self.base_address = None
             self.filled = 0
-            if release_buffer:
-                self._buf = bytearray(self.capacity)
             yieldpoints.hit("block.recycle.cleared", block=self)
             self._version += 1  # even again: stable
             yieldpoints.note(

@@ -76,37 +76,6 @@ class SnapshotRetry(SnapshotConflictError):
         self.attempts = attempts
 
 
-class StaleViewError(LoomError):
-    """A zero-copy view was touched after its backing bytes were invalidated.
-
-    Raised only under the view-lifetime guard (``LOOMSAN=1``, see
-    :mod:`repro.core.viewguard`): storage truncation, storage close,
-    fault-injection mutation, and staging-block recycle *poison* every
-    outstanding tracked view over the affected byte range, and any later
-    touch of a poisoned view raises this error instead of silently reading
-    stale bytes.  Without the guard the same bug is undetectable memory
-    aliasing — exactly the reference-stability hazard loomlint's LOOM201-208
-    rules (``tools/loomlint``) prove absent from the read path.
-
-    Attributes:
-        borrow_site: ``path:line in function`` where the view was borrowed
-            (captured at view creation), so the report points at the code
-            holding the view too long, not at the innocent invalidator.
-        reason: which invalidation event poisoned the view (e.g.
-            ``"storage truncated to 4096"`` or ``"block recycled"``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        borrow_site: "str | None" = None,
-        reason: "str | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.borrow_site = borrow_site
-        self.reason = reason
-
-
 class HistogramSpecError(LoomError, ValueError):
     """A histogram index specification is invalid (e.g. unsorted edges)."""
 

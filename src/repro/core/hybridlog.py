@@ -35,9 +35,9 @@ import threading
 import time
 from binascii import crc32
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from . import viewguard, yieldpoints
+from . import yieldpoints
 from .block import Block
 from .errors import AddressError, ClosedError, SnapshotRetry, StorageError
 from .metrics import LogScope
@@ -275,28 +275,23 @@ class HybridLog:
             self._storage.truncate(base)
         view = block.flush_view()
         nbytes = len(view)
-        got, retained = self._storage.append_extent(view)
+        got = self._storage.append_extent(view)
         assert got == base, "blocks must flush in address order"
         if self._journal is not None:
             jsize = self._journal.size
             if jsize % FRAME_ENTRY.size:
                 self._journal.truncate(jsize - jsize % FRAME_ENTRY.size)
-            self._journal.append(
-                FRAME_ENTRY.pack(base, nbytes, crc32(viewguard.unwrap(view)))
-            )
+            self._journal.append(FRAME_ENTRY.pack(base, nbytes, crc32(view)))
+        view.release()
         self.stats.block_flushes += 1
         self.stats.bytes_flushed += nbytes
         scope = self._scope
         if scope is not None:
             scope.flushes.inc()
             scope.flushed_bytes.inc(nbytes)
-        if not retained:
-            view.release()
         # Recycle only *after* the bytes are readable from storage, so
         # readers that lose the seqlock race always find the data there.
-        # If the backend retained the flush view zero-copy, the block must
-        # not reuse (and overwrite) that buffer: hand it a fresh one.
-        block.recycle(release_buffer=retained)
+        block.recycle()
 
     def _flush_with_retry(self, block: Block) -> None:
         """Flush ``block``, retrying transient :class:`StorageError`s with
@@ -444,7 +439,7 @@ class HybridLog:
             yieldpoints.note(
                 "hybridlog.read.begin", log=self, address=address, length=length
             )
-        out = bytearray()
+        pieces: List[bytes] = []
         pos = address
         end = address + length
         retries = 0
@@ -452,7 +447,7 @@ class HybridLog:
             persisted = self._storage.size
             if pos < persisted:
                 n = min(end, persisted) - pos
-                out += self._storage.read(pos, n)
+                pieces.append(self._storage.read(pos, n))
                 pos += n
                 continue
             try:
@@ -481,24 +476,29 @@ class HybridLog:
                         attempts=retries,
                     )
                 continue
-            out += piece
+            pieces.append(piece)
             pos += len(piece)
-        return bytes(out)
+        # One storage read or one block copy covering the range is
+        # returned as is, without a second copy.
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
-    def read_view(self, address: int, length: int) -> Optional[memoryview]:  # loomflow: borrows=storage
-        """Zero-copy read of ``[address, address + length)``, if persisted.
+    def read_view(self, address: int, length: int) -> bytes:
+        """Read ``[address, address + length)`` as one region, for a bulk
+        decode.
 
-        Returns a read-only view straight from the storage backend (an
-        mmap page range on :class:`~repro.core.storage.FileStorage`, a
-        retained flush extent on
-        :class:`~repro.core.storage.MemoryStorage`), or ``None`` when the
-        range is not yet fully persisted or the backend cannot serve it
-        without a copy — the caller falls back to :meth:`read`.  Bytes in
-        the persisted prefix are immutable, so the view never tears.
+        Owned bytes, like :meth:`read`, which serves a region that is not
+        fully persisted yet.  A persisted region is one storage read;
+        :class:`~repro.core.storage.FileStorage` names that read
+        ``read_view`` (the same ``pread`` as its point reads) so a
+        profiler tells region fetches from point reads.
         """
-        if address < 0 or length < 0 or address + length > self._storage.size:
-            return None
-        return self._storage.read_view(address, length)
+        storage = self._storage
+        if address < 0 or address + length > storage.size:
+            return self.read(address, length)
+        region_read: Callable[[int, int], bytes] = getattr(
+            storage, "read_view", storage.read
+        )
+        return region_read(address, length)
 
     def read_upto(self, address: int, max_length: int) -> bytes:
         """Read up to ``max_length`` bytes at ``address``, clamped to tail.

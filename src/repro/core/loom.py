@@ -254,7 +254,7 @@ class Loom:
         """Scan a source in a time and value range using an index.
 
         Surviving chunks are scanned columnar: header columns are decoded
-        in bulk (zero-copy from persisted storage), the source/time
+        in bulk (one read per region), the source/time
         predicates run as one vectorized mask, and the value predicate
         runs on the survivors' value column; the only per-record Python
         work is the index function itself.

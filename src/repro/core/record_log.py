@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import viewguard
 from .archive import (
     ArchiveLog,
     ChunkMigrator,
@@ -94,10 +93,10 @@ class RegionColumns:
     The columnar read-side counterpart of ``encode_batch_arrays``: every
     record in the region as parallel numpy vectors, with payload ``i`` at
     ``buffer[payload_starts[i] : payload_starts[i] + lengths[i]]``.  On
-    the hot tier ``buffer`` is the region itself, headers included (a
-    zero-copy storage view when the mmap read tier served it); on the
-    cold tier it is the archive frame's owned payload blob.  Operators
-    filter on the columns and touch Python per record only for survivors.
+    the hot tier ``buffer`` is the region itself, headers included, as
+    one owned read; on the cold tier it is the archive frame's owned
+    payload blob.  Operators filter on the columns and touch Python per
+    record only for survivors.
     """
 
     start: int
@@ -109,7 +108,7 @@ class RegionColumns:
     offsets: np.ndarray
     #: Byte offset of each record's payload within ``buffer``.
     payload_starts: np.ndarray
-    buffer: "bytes | memoryview"
+    buffer: bytes
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -126,8 +125,8 @@ class RegionColumns:
             return 0
         return int(self.offsets[-1]) + HEADER_SIZE + int(self.lengths[-1])
 
-    def payload_view(self, i: int) -> "bytes | memoryview":
-        """Record ``i``'s payload, sliced in place from the region buffer."""
+    def payload_view(self, i: int) -> bytes:
+        """Record ``i``'s payload, sliced from the region buffer."""
         off = int(self.payload_starts[i])
         return self.buffer[off : off + int(self.lengths[i])]
 
@@ -149,7 +148,7 @@ class RegionColumns:
         """Adjacent regions as one, over one owned copy of their buffers."""
         if len(parts) == 1:
             return parts[0]
-        buffers = [viewguard.unwrap(part.buffer) for part in parts]
+        buffers = [part.buffer for part in parts]
         bases = np.cumsum([0] + [len(b) for b in buffers[:-1]]).tolist()
         start = parts[0].start
         return cls(
@@ -163,12 +162,10 @@ class RegionColumns:
     def batch(self, source_id: int, rows: np.ndarray) -> "RecordBatch":
         """The records at ``rows`` as an owned batch, in ``rows`` order.
 
-        This is where a scan stops borrowing: the payloads are copied out
-        of the region buffer once, so the batch survives the region being
-        truncated, recycled by a migration pass or evicted from the
-        archive cache.
+        The payloads are copied out of the region buffer once, so a batch
+        holds only what it returns, not the whole region.
         """
-        raw = np.frombuffer(viewguard.unwrap(self.buffer), np.uint8)
+        raw = np.frombuffer(self.buffer, np.uint8)
         bounds, blob = gather_payloads(
             raw, self.payload_starts[rows], self.lengths[rows]
         )
@@ -206,9 +203,7 @@ def gather_payloads(
     return bounds, raw[index].tobytes()
 
 
-def decode_region(
-    buffer: "bytes | memoryview", start: int, verify: bool = False
-) -> RegionColumns:
+def decode_region(buffer: bytes, start: int, verify: bool = False) -> RegionColumns:
     """Decode the record headers in ``buffer``, whose first byte is the
     record at address ``start``, into columns over ``buffer``.
 
@@ -221,15 +216,12 @@ def decode_region(
     ``verify`` each row is then CRC-checked in address order, raising
     :class:`CorruptionError` at the first bad address.
     """
-    # C-level consumers (frombuffer, struct) need the raw buffer; the
-    # unwrap checks the view was not poisoned before decoding starts.
-    raw_buffer = viewguard.unwrap(buffer)
-    size = len(raw_buffer)
-    raw = np.frombuffer(raw_buffer, np.uint8)
+    size = len(buffer)
+    raw = np.frombuffer(buffer, np.uint8)
     unpack_u32 = _U32.unpack_from
     headers: Optional[np.ndarray] = None
     if size >= HEADER_SIZE:
-        first_len = unpack_u32(raw_buffer, 20)[0]
+        first_len = unpack_u32(buffer, 20)[0]
         stride = HEADER_SIZE + first_len
         if size % stride == 0:
             # Fixed-size fast path, validated inductively: offset 0 is a
@@ -246,7 +238,7 @@ def decode_region(
         offs: List[int] = []
         pos = 0
         while pos + HEADER_SIZE <= size:
-            length = unpack_u32(raw_buffer, pos + 20)[0]
+            length = unpack_u32(buffer, pos + 20)[0]
             if pos + HEADER_SIZE + length > size:
                 break
             offs.append(pos)
@@ -256,7 +248,7 @@ def decode_region(
     if verify:
         # A damaged length field fails its own record's CRC, so rows the
         # walk found past it are never the ones reported.
-        view = memoryview(raw_buffer)
+        view = memoryview(buffer)
         crcs = raw[(offsets[:, None] + np.arange(BODY_SIZE, HEADER_SIZE)).ravel()].view("<u4")
         lengths = headers.view(BODY_DTYPE)["len"].ravel()
         for pos, length, stored in zip(offsets.tolist(), lengths.tolist(), crcs.tolist()):
@@ -264,7 +256,7 @@ def decode_region(
             if crc32(view[pos + HEADER_SIZE : pos + HEADER_SIZE + length], body_crc) != stored:
                 raise CorruptionError(
                     f"record at address {start + pos} fails its CRC "
-                    f"(source_id={unpack_u32(raw_buffer, pos)[0]}, length={length})",
+                    f"(source_id={unpack_u32(buffer, pos)[0]}, length={length})",
                     address=start + pos,
                 )
     # The column arrays are handed to callers: freeze them (before
@@ -559,10 +551,7 @@ class RecordLog:
                 # The archived prefix is cold-authoritative from the first
                 # read: arm the storage boundary so stale addresses below
                 # it raise instead of serving possibly-reclaimed bytes.
-                storage.recycle_prefix(
-                    min(self._cold_boundary, storage.size),
-                    "archived prefix restored at reopen",
-                )
+                storage.recycle_prefix(min(self._cold_boundary, storage.size))
             self.migrator = ChunkMigrator(self, tier)
             self._auto_migrate = tier.auto_migrate
 
@@ -1097,7 +1086,7 @@ class RecordLog:
             source_id=int(columns.source_ids[0]),
             timestamp=int(columns.timestamps[0]),
             prev_addr=int(columns.prev_addrs[0]),
-            payload=bytes(columns.payload_view(0)),  # already owned bytes
+            payload=columns.payload_view(0),
             address=address,
         )
 
@@ -1129,11 +1118,10 @@ class RecordLog:
             hist.observe(float(self.metrics.clock.now() - started))
         return RegionColumns.concat(parts)
 
-    def iter_records_between(  # loomflow: borrows=scan
+    def iter_records_between(
         self,
         start: int,
         end: int,
-        copy: bool = True,
         stats: "Optional[QueryStats]" = None,
     ) -> Iterator[Record]:
         """Sequentially decode records in ``[start, end)``.
@@ -1143,58 +1131,39 @@ class RecordLog:
         boundaries).  The whole region is fetched with one log read and
         decoded from the buffer — the chunk-scan fast path (sequential
         I/O amortized over the chunk, as the paper's design intends).
-
-        With ``copy=False`` each record's payload is a ``memoryview``
-        slice of the region buffer instead of an owned ``bytes`` copy.
-        The buffer is immutable for the lifetime of the views, so this is
-        safe — but callers that retain payloads beyond the scan (or hand
-        them to users) must take the default copying mode.
+        Each record's payload is an owned ``bytes`` copy.
 
         This is the reference decoder: queries scan through
         :meth:`region_columns`, and the sanitizer and the equivalence
         tests hold its columns to the records yielded here.
-
-        When the region is fully persisted the region buffer itself is a
-        zero-copy storage view (no bulk read copy at all); otherwise one
-        log read fetches it.
         """
         if end <= start:
             return
         size = end - start
-        buffer, is_view = self._region_buffer(start, end, stats)
-        view = buffer if is_view else memoryview(buffer)
+        buffer = self._region_buffer(start, end, stats)
         offset = 0
         verify = self._verify_on_read
-        # Header decodes need a raw buffer (struct consumers); under the
-        # view-lifetime guard each unwrap re-checks that the region view
-        # was not poisoned by a concurrent truncate/recycle.
-        unwrap = viewguard.unwrap
         while offset < size:
             if stats is not None:
                 stats.records_decoded += 1
-            raw = unwrap(buffer)
-            source_id, timestamp, prev_addr, length = decode_header(raw, offset)
-            if verify and not verify_record_bytes(raw, offset, length):
+            source_id, timestamp, prev_addr, length = decode_header(buffer, offset)
+            if verify and not verify_record_bytes(buffer, offset, length):
                 raise CorruptionError(
                     f"record at address {start + offset} fails its CRC on "
                     f"read (source_id={source_id}, length={length})",
                     address=start + offset,
                 )
             payload_start = offset + HEADER_SIZE
-            if copy:
-                payload = bytes(view[payload_start : payload_start + length])
-            else:
-                payload = view[payload_start : payload_start + length]
             yield Record(
                 source_id=source_id,
                 timestamp=timestamp,
                 prev_addr=prev_addr,
-                payload=payload,
+                payload=buffer[payload_start : payload_start + length],
                 address=start + offset,
             )
             offset += HEADER_SIZE + length
 
-    def region_columns(  # loomflow: borrows=storage
+    def region_columns(
         self,
         start: int,
         end: int,
@@ -1228,26 +1197,21 @@ class RecordLog:
             stats.records_decoded += len(columns)
         return columns
 
-    def _hot_columns(  # loomflow: borrows=storage
-        self, start: int, end: int
-    ) -> RegionColumns:
+    def _hot_columns(self, start: int, end: int) -> RegionColumns:
         """The hot region ``[start, end)`` through :func:`decode_region`:
-        one bulk fetch, zero-copy via the mmap tier when possible.  Under
-        ``verify_on_read`` every record is CRC-checked."""
-        size = end - start
-        buffer = self.log.read_view(start, size) or self.log.read(start, size)
+        one bulk read.  Under ``verify_on_read`` every record is
+        CRC-checked."""
+        buffer = self.log.read_view(start, end - start)
         return decode_region(buffer, start, self._verify_on_read)
 
-    def _region_buffer(  # loomflow: borrows=storage
+    def _region_buffer(
         self, start: int, end: int, stats: "Optional[QueryStats]"
-    ) -> "Tuple[bytes | memoryview, bool]":
+    ) -> bytes:
         """Fetch ``[start, end)`` as one buffer for the reference decoder.
 
-        Returns ``(buffer, is_view)``.  Hot regions come zero-copy from
-        the mmap tier when possible.  Archived records are re-framed one
-        by one from their chunk columns (:func:`encode_region`) into an
-        *owned* buffer (outside the borrow rules), with the hot suffix of
-        a straddling region appended via a copying read.  Only
+        Hot regions are one bulk read.  Archived records are re-framed
+        one by one from their chunk columns (:func:`encode_region`), with
+        the hot suffix of a straddling region appended.  Only
         :meth:`iter_records_between` comes here: queries read columns.  A
         read that races a migration pass retries against the advanced
         boundary.
@@ -1256,14 +1220,11 @@ class RecordLog:
             boundary = self._cold_boundary
             try:
                 if start >= boundary:
-                    region = self.log.read_view(start, end - start)
-                    if region is not None:
-                        return region, True
-                    return self.log.read(start, end - start), False
+                    return self.log.read_view(start, end - start)
                 cold_end = min(end, boundary)
                 cold = encode_region(self._cold_columns(start, cold_end, stats))
                 hot = self.log.read(cold_end, end - cold_end) if end > cold_end else b""
-                return cold + hot, False
+                return cold + hot
             except AddressError:
                 if self._cold_boundary == boundary:
                     raise
@@ -1286,17 +1247,13 @@ class RecordLog:
 
         Called after the archive's ``RECYCLE`` frame is durable.  The
         GIL-atomic boundary store redirects readers to the archive first;
-        recycling the hot prefix then poisons outstanding zero-copy views
-        (they raise :class:`~repro.core.errors.StaleViewError` on touch)
-        and reclaims the memory behind them.
+        recycling the hot prefix then reclaims its memory.  Readers hold
+        only owned copies, so nothing they hold is reclaimed under them.
         """
         if boundary <= self._cold_boundary:
             return
         self._cold_boundary = boundary
-        self.log.storage.recycle_prefix(
-            min(boundary, self.log.storage.size),
-            "chunks migrated to the cold tier",
-        )
+        self.log.storage.recycle_prefix(min(boundary, self.log.storage.size))
 
     def note_migration(
         self, chunks: int, records: int, raw: int, compressed: int

@@ -157,13 +157,12 @@ class RecoveredState:
         return source.last_addr if source else None
 
 
-def _persisted_region(storage: Storage, start: int) -> "bytes | memoryview":
-    """Every persisted byte from ``start`` on, zero-copy when the backend
-    can serve it."""
+def _persisted_region(storage: Storage, start: int) -> bytes:
+    """Every persisted byte from ``start`` on, as one read."""
     size = storage.size - start
     if size <= 0:
         return b""
-    return storage.read_view(start, size) or storage.read(start, size)
+    return storage.read(start, size)
 
 
 def scan_persisted_records(
@@ -194,7 +193,7 @@ def scan_persisted_records(
         columns.addresses.tolist(),
     )
     for i, (source_id, timestamp, prev_addr, address) in enumerate(rows):
-        yield Record(source_id, timestamp, prev_addr, bytes(columns.payload_view(i)), address)
+        yield Record(source_id, timestamp, prev_addr, columns.payload_view(i), address)
 
 
 def scan_persisted_summaries(storage: Storage) -> Iterator[ChunkSummary]:

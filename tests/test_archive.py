@@ -12,9 +12,9 @@ ACCEPTANCE scenarios for the tiered-storage API:
 * migrating finalized chunks into the archive changes no query answer,
   and the cold read path decompresses only the chunks a query actually
   needs (counter-backed: summary-only aggregates decompress nothing);
-* a zero-copy scan view that outlives a migration pass raises a typed
-  :class:`StaleViewError` naming the borrow site, and a rescan after the
-  migration returns byte-identical records;
+* every read returns owned bytes: a region buffer or query result taken
+  before a truncate, recycle, migration or close reads the same bytes
+  after it;
 * retention (drop and downsample) makes retired data invisible while
   downsampled summaries keep distributive aggregates exact;
 * a data directory with an archive reopens to the same answers, and the
@@ -41,13 +41,14 @@ from repro.core.archive import (
 from repro.core.chunk_index import STATE_SUMMARY_ONLY
 from repro.core.clock import VirtualClock
 from repro.core.config import LoomConfig, RetentionPolicy, TierConfig
-from repro.core.errors import AddressError, CorruptionError, LoomError, StaleViewError
-from repro.core.hybridlog import NULL_ADDRESS
+from repro.core.errors import AddressError, CorruptionError, LoomError
+from repro.core.hybridlog import NULL_ADDRESS, HybridLog
 from repro.core.loom import Loom
 from repro.core.operators import QueryStats
 from repro.core.record import HEADER_SIZE, decode_header, encode_record
 from repro.core.record_log import RecordLog, decode_region
 from repro.core.recovery import check_data_dir
+from repro.core.storage import open_storage
 
 _VALUE = struct.Struct("<d")
 EDGES = [0.0, 25.0, 50.0, 75.0, 100.0]
@@ -584,96 +585,96 @@ class TestMigration:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy views racing migration
+# Reads are owned: nothing a reader holds changes under it
 # ----------------------------------------------------------------------
 class TestViewsAcrossMigration:
-    def test_migration_poisons_outstanding_scan_view(self, tmp_path):
-        """ACCEPTANCE: a copy=False scan view taken before a migration
-        pass is poisoned when the hot prefix is recycled under it —
-        touching it raises StaleViewError naming the borrow site — and a
-        rescan after the migration is byte-identical to the answer the
-        view-based scan produced before it."""
-        from repro.core import viewguard
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_region_buffers_survive_truncate_recycle_migration_and_close(
+        self, tmp_path, backend
+    ):
+        """A buffer from ``HybridLog.read_view`` or
+        ``RecordLog.region_columns`` taken before a storage truncate, a
+        prefix recycle, a committed migration and a close reads the same
+        bytes after each of them.  No guard is active: the reads return
+        owned bytes, so there is nothing left to poison."""
+        on_disk = backend == "file"
 
-        viewguard.activate()
-        try:
-            cfg = _tiered_config(
-                tmp_path, tier=TierConfig(migrate_high_watermark=64, auto_migrate=False)
+        # The hybrid log alone: a truncate and a recycle of its storage.
+        storage = open_storage(str(tmp_path / "raw.log") if on_disk else None)
+        hlog = HybridLog(storage=storage, block_size=64)
+        hlog.append(bytes(range(256)))
+        region = hlog.read_view(32, 192)
+        expected = bytes(bytearray(region))
+        storage.truncate(128)
+        assert region == expected
+        storage.recycle_prefix(64)
+        assert region == expected
+        hlog.close()
+        storage.close()
+        assert region == expected
+
+        # The record log: columns across commit_migration and close.
+        cfg = _tiered_config(
+            tmp_path if on_disk else None,
+            tier=TierConfig(migrate_high_watermark=64, auto_migrate=False),
+        )
+        clock = VirtualClock(1_000)
+        log = RecordLog(cfg, clock=clock)
+        log.define_source(1)
+        for i in range(600):
+            log.push(1, _payload(i % 100))
+            clock.advance(10)
+        log.sync()
+        persisted = log.log.storage.size
+        ends = [
+            log.chunk_index.get(i).end_addr
+            for i in range(len(log.chunk_index))
+            if log.chunk_index.get(i).end_addr <= persisted
+        ]
+        assert len(ends) >= 2
+        held = [log.log.read_view(0, ends[-1]), log.region_columns(0, ends[0])]
+        columns = held[1]
+
+        def snapshot():
+            return (
+                bytes(bytearray(held[0])),
+                bytes(bytearray(columns.buffer)),
+                columns.timestamps.tolist(),
+                [bytes(bytearray(columns.payload_view(i))) for i in range(len(columns))],
             )
-            clock = VirtualClock(1_000)
-            log = RecordLog(cfg, clock=clock)
-            log.define_source(1)
-            for i in range(600):
-                log.push(1, _payload(i % 100))
-                clock.advance(10)
-            log.sync()
-            # The mmap view tier serves only the fully persisted prefix;
-            # pick the last chunk boundary below the persisted tail.
-            persisted = log.log._storage.size
-            scan_end = max(
-                (
-                    log.chunk_index.get(i).end_addr
-                    for i in range(len(log.chunk_index))
-                    if log.chunk_index.get(i).end_addr <= persisted
-                ),
-                default=0,
-            )
-            assert scan_end > 0
-            records = list(log.iter_records_between(0, scan_end, copy=False))
-            assert records
-            before = [
-                (r.address, r.timestamp, bytes(r.payload)) for r in records
-            ]
-            payload_view = records[0].payload
 
-            report = log.migrate(force=True)
-            assert report.chunks_migrated > 0
-
-            with pytest.raises(StaleViewError) as exc_info:
-                bytes(payload_view)
-            assert exc_info.value.borrow_site is not None
-            assert "iter_records_between" in exc_info.value.borrow_site
-
-            after = [
-                (r.address, r.timestamp, bytes(r.payload))
-                for r in log.iter_records_between(0, scan_end)
-            ]
-            assert after == before
-            log.close()
-        finally:
-            viewguard.deactivate()
+        before = snapshot()
+        assert log.migrate(force=True).chunks_migrated > 0
+        assert log.cold_boundary >= ends[0]
+        assert log.log.storage.recycled_upto >= ends[0]
+        assert snapshot() == before
+        log.close()
+        assert snapshot() == before
 
     def test_query_results_taken_before_migration_stay_readable(self, tmp_path):
-        """The other half of the contract: what a *query* hands out is an
-        owned batch (payloads copied out of the region once), so results
-        taken before a migration pass recycles their region still yield
-        every payload afterwards — no StaleViewError, guard on."""
-        from repro.core import viewguard
-
-        viewguard.activate()
-        try:
-            cfg = _tiered_config(
-                tmp_path, tier=TierConfig(migrate_high_watermark=64, auto_migrate=False)
-            )
-            clock = VirtualClock(1_000)
-            loom = Loom(cfg, clock=clock)
-            index_ids = _fill(loom, clock)
-            scanned = loom.scan(1, ALL_TIME).records
-            indexed = loom.scan_indexed(1, index_ids[1], ALL_TIME, (10.0, 60.0)).records
-            newest = scanned[0]  # a Record built before the recycle...
-            assert loom.migrate(force=True).chunks_migrated > 0
-            assert scanned[-1].address < loom.record_log.cold_boundary
-            # ...and Records built after it, from the same batches.
-            assert scanned[0] == newest
-            assert [bytes(r.payload) for r in scanned] == [
-                bytes(r.payload) for r in loom.scan(1, ALL_TIME).records
-            ]
-            assert list(indexed) == list(
-                loom.scan_indexed(1, index_ids[1], ALL_TIME, (10.0, 60.0)).records
-            )
-            loom.close()
-        finally:
-            viewguard.deactivate()
+        """What a query hands out is an owned batch (payloads copied out
+        of the region once), so results taken before a migration pass
+        recycles their region still yield every payload afterwards."""
+        cfg = _tiered_config(
+            tmp_path, tier=TierConfig(migrate_high_watermark=64, auto_migrate=False)
+        )
+        clock = VirtualClock(1_000)
+        loom = Loom(cfg, clock=clock)
+        index_ids = _fill(loom, clock)
+        scanned = loom.scan(1, ALL_TIME).records
+        indexed = loom.scan_indexed(1, index_ids[1], ALL_TIME, (10.0, 60.0)).records
+        newest = scanned[0]  # a Record built before the recycle...
+        assert loom.migrate(force=True).chunks_migrated > 0
+        assert scanned[-1].address < loom.record_log.cold_boundary
+        # ...and Records built after it, from the same batches.
+        assert scanned[0] == newest
+        assert [bytes(r.payload) for r in scanned] == [
+            bytes(r.payload) for r in loom.scan(1, ALL_TIME).records
+        ]
+        assert list(indexed) == list(
+            loom.scan_indexed(1, index_ids[1], ALL_TIME, (10.0, 60.0)).records
+        )
+        loom.close()
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ counterpart:
   must leave the summary bit-identical to the scalar
   :meth:`ChunkSummary.add_indexed_values` fold, including the NaN /
   negative-zero / infinity cases that force its scalar fallback;
-* storage ``read_view`` (mmap / extent zero-copy tier) must serve the
-  same bytes as the copying ``read`` path;
+* ``FileStorage.read_view`` (the region read) must serve the same bytes
+  as its point ``read`` path, and refuse what is not persisted;
 * :meth:`RecordLog.region_columns` (columnar header decode) must agree
   field-for-field with the scalar record iterator, including for batches
   that span chunk and block boundaries, and on the cold tier for runs of
@@ -44,7 +44,8 @@ from repro.core.operators import _CountFold, _RetainFold, _StatsFold, indexed_sc
 from repro.core.record import BODY_SIZE, HEADER_SIZE, encode_batch_arrays
 from repro.core.record_log import RecordLog
 from repro.core.snapshot import Snapshot
-from repro.core.storage import FileStorage, MemoryStorage
+from repro.core.errors import AddressError
+from repro.core.storage import FileStorage
 from repro.core.summary import BinStats, ChunkSummary
 
 from conftest import payload_value
@@ -206,40 +207,20 @@ class TestSummaryFoldEquivalence:
 
 
 class TestReadViewEquivalence:
-    @SETTINGS
-    @given(
-        pieces=st.lists(st.binary(min_size=0, max_size=64), max_size=20),
-        probes=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 200)), max_size=10),
-    )
-    def test_memory_storage_views_match_reads(self, pieces, probes):
-        storage = MemoryStorage()
-        for piece in pieces:
-            storage.append(piece)
-        for address, length in probes:
-            if address + length > storage.size:
-                continue
-            view = storage.read_view(address, length)
-            if view is not None:  # None = spans extents; read() covers it
-                assert bytes(view) == storage.read(address, length)
-
     def test_file_storage_mmap_matches_pread(self, tmp_path):
         storage = FileStorage(str(tmp_path / "log.bin"))
         try:
             data = bytes(range(256)) * 8
             storage.append(data[:512])
-            # First view materializes the map; growth must trigger a remap.
-            assert bytes(storage.read_view(0, 512)) == data[:512]
+            assert storage.read_view(0, 512) == data[:512]
             storage.append(data[512:])
             for address, length in ((0, len(data)), (100, 1000), (2040, 8)):
-                view = storage.read_view(address, length)
-                assert view is not None
-                assert bytes(view) == storage.read(address, length)
-            # Truncation invalidates the map; stale tails must not be served.
+                assert storage.read_view(address, length) == storage.read(address, length)
+            # A truncated tail is never served.
             storage.truncate(512)
-            view = storage.read_view(0, 512)
-            if view is not None:
-                assert bytes(view) == data[:512]
-            assert storage.read_view(0, 513) is None
+            assert storage.read_view(0, 512) == data[:512]
+            with pytest.raises(AddressError):
+                storage.read_view(0, 513)
         finally:
             storage.close()
 

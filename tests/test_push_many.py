@@ -1,4 +1,4 @@
-"""Batched ingest (``push_many``) equivalence and zero-copy scan tests.
+"""Batched ingest (``push_many``) equivalence and scan tests.
 
 The batch fast path must be *observationally identical* to a loop of
 ``push`` calls under a frozen clock: byte-identical record-log contents
@@ -204,21 +204,15 @@ class TestZeroCopyScans:
         yield log
         log.close()
 
-    def test_copy_false_yields_memoryviews(self, loaded):
+    def test_scan_payloads_are_owned_bytes(self, loaded):
         end = loaded.log.tail_address
-        copied = list(loaded.iter_records_between(0, end, copy=True))
-        views = list(loaded.iter_records_between(0, end, copy=False))
-        assert all(isinstance(r.payload, bytes) for r in copied)
-        assert all(isinstance(r.payload, memoryview) for r in views)
-        assert [bytes(r.payload) for r in views] == [r.payload for r in copied]
-        assert [r.address for r in views] == [r.address for r in copied]
+        records = list(loaded.iter_records_between(0, end))
+        assert len(records) == 30
+        assert all(type(r.payload) is bytes for r in records)
 
     def test_zero_copy_payloads_decode(self, loaded):
         end = loaded.log.tail_address
-        values = [
-            payload_value(r.payload)
-            for r in loaded.iter_records_between(0, end, copy=False)
-        ]
+        values = [payload_value(r.payload) for r in loaded.iter_records_between(0, end)]
         assert values == [float(i) for i in range(30)]
 
     def test_query_stats_count_decodes(self, loaded):

@@ -3,8 +3,7 @@
 Run as ``python -m tools.loomlint src/`` from the repository root.
 See :mod:`tools.loomlint.config` for the rule registry,
 :mod:`tools.loomlint.index` for the project index every rule shares, and
-:mod:`tools.loomlint.concurrency` / :mod:`tools.loomlint.borrows` for the
-two rule modules.
+:mod:`tools.loomlint.concurrency` for the rules.
 """
 
 from .index import Finding, ProjectIndex

@@ -2,15 +2,13 @@
 
 Usage, from the repository root::
 
-    loomlint [paths...]        # run LOOM101-116 and LOOM201-208 (default: src/)
-    loomlint mutants           # self-test: seeded view escapes must be caught
+    loomlint [paths...]        # run LOOM101-116 (default: src/)
     loomlint --list-rules
 
 Exit status (stable, scripts may rely on it):
 
-* ``0`` — clean: every finding carries an inline suppression; for
-  ``mutants``, every seeded escape was caught at its expected location.
-* ``1`` — unsuppressed findings exist (or a mutant escaped).
+* ``0`` — clean: every finding carries an inline suppression.
+* ``1`` — unsuppressed findings exist.
 * ``2`` — usage error: unknown paths, an unparsable file, or a name in
   ``tools/loomlint/config.py`` that the analyzed tree does not define.
 """
@@ -25,23 +23,18 @@ from typing import List, Optional
 
 from .config import RULES
 from .linter import ConfigError, run
-from .mutants import run_mutants
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="loomlint",
-        description=(
-            "Loom static analysis: concurrency invariants (LOOM101-116) "
-            "and zero-copy view lifetimes (LOOM201-208)."
-        ),
+        description="Loom static analysis: concurrency invariants (LOOM101-116).",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src/"],
-        help="files or directories to lint (default: src/), or the verb "
-        "`mutants` to run the seeded-escape self-test",
+        help="files or directories to lint (default: src/)",
     )
     parser.add_argument("--out", help="write findings as JSON to this path")
     parser.add_argument(
@@ -53,7 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "-v",
         "--verbose",
         action="store_true",
-        help="also show suppressed findings (mutants: show each catch)",
+        help="also show suppressed findings",
     )
     args = parser.parse_args(argv)
 
@@ -64,8 +57,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        if args.paths == ["mutants"]:
-            return run_mutants(os.getcwd(), verbose=args.verbose)
         missing = [p for p in args.paths if not os.path.exists(p)]
         if missing:
             print(f"loomlint: no such path(s): {', '.join(missing)}", file=sys.stderr)

@@ -572,7 +572,7 @@ def rule_sanitizer_isolation(index: ProjectIndex) -> List[Finding]:
                         message=(
                             f"runtime module imports `{name}`; the "
                             f"verification engines drive the runtime "
-                            f"through the yieldpoints/viewguard hooks, "
+                            f"through the yieldpoints hooks, "
                             f"never the other way round"
                         ),
                     )

@@ -4,12 +4,10 @@ Everything here encodes an invariant stated in the paper (sections cited
 per constant) or a structural fact about this codebase (which attribute
 names hold which classes).  The index and the rule modules are generic AST
 machinery; this module is the part a Loom maintainer edits when the
-architecture or the zero-copy surface grows: reader roots and typed
-attributes for LOOM101-116, and for LOOM201-208 which calls mint borrowed
-views, which launder them into owned bytes, and which hand work (and
-views) to another thread.  Every function or class named here must exist
-in the analyzed tree: a run whose index cannot resolve one is a usage
-error, never a silently smaller check.
+architecture grows: reader roots, typed attributes and the vocabulary of
+LOOM101-116.  Every function or class named here must exist in the
+analyzed tree: a run whose index cannot resolve one is a usage error,
+never a silently smaller check.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ RULES = {
         "production modules (src/repro) must not import anything under "
         "tools/: the shadow model, the schedule explorer and the model "
         "checker live beside the CLIs that drive them and reach the "
-        "runtime only through the yieldpoints/viewguard hooks",
+        "runtime only through the yieldpoints hooks",
     ),
     "LOOM109": (
         "shadow-totality",
@@ -135,63 +133,6 @@ RULES = {
         "a KeyError/TypeError/ValueError guard (or a membership test) "
         "turns a malformed frame into an unhandled exception instead of "
         "a protocol error",
-    ),
-    "LOOM201": (
-        "bracket-escape",
-        "a borrowed view created inside a SnapshotRetry/seqlock "
-        "validation bracket (a try whose handler catches SnapshotRetry/"
-        "SnapshotConflictError) must not be used after the bracket: "
-        "outside it the seqlock validation no longer vouches for the "
-        "bytes (paper section 5.5)",
-    ),
-    "LOOM202": (
-        "view-stored-on-self",
-        "a borrowed view must not be assigned to self.* (or to an "
-        "attribute of a parameter): object attributes outlive the call, "
-        "the view's validity window does not — storage truncation or a "
-        "block recycle leaves the attribute aliasing recycled bytes",
-    ),
-    "LOOM203": (
-        "view-stored-in-container",
-        "a borrowed view must not be stored into a container that "
-        "outlives the enclosing scope (a module-level cache, a self.* "
-        "container, a parameter): the container keeps the view alive "
-        "past its validity window",
-    ),
-    "LOOM204": (
-        "view-across-await",
-        "in daemon/ async code a borrowed view must not stay live across "
-        "an await: while the coroutine is suspended the ingest path can "
-        "truncate, remap, or recycle the bytes under it",
-    ),
-    "LOOM205": (
-        "view-thread-handoff",
-        "in daemon/ a borrowed view must not be handed to another thread "
-        "or queue (queue.put, executor submit, run_in_executor, Thread "
-        "args): the receiving thread races the writer with no seqlock "
-        "bracket of its own",
-    ),
-    "LOOM206": (
-        "uncontracted-public-borrow",
-        "a public API must not return or yield a borrowed view unless it "
-        "either copies (copy=True path) or carries an explicit "
-        "'# loomflow: borrows=<lifetime>' contract annotation on the def "
-        "line documenting how long the borrow stays valid",
-    ),
-    "LOOM207": (
-        "write-through-borrow",
-        "no writes through a borrowed view (view[i] = ..., slice "
-        "assignment, augmented assignment): log bytes are immutable "
-        "after publication; mutating a view would corrupt the log or — "
-        "after the read-only hardening — raise at runtime",
-    ),
-    "LOOM208": (
-        "borrow-contract",
-        "a '# loomflow: borrows=' contract must use a known lifetime "
-        "token (snapshot, scan, storage, call) and must sit on a "
-        "function the analysis actually sees returning a borrow — a "
-        "stale or malformed contract documents a lifetime that does "
-        "not exist",
     ),
 }
 
@@ -553,92 +494,3 @@ CONTRACT_DOCSTRINGS = {
     "repro.core.record_log.RecordLog._publish": ("order",),
     "repro.core.snapshot.Snapshot.capture": ("linearization",),
 }
-
-# ----------------------------------------------------------------------
-# LOOM201-208: view sources — calls whose result is a borrowed view into
-# storage — and the calls that propagate or launder that taint.
-# ----------------------------------------------------------------------
-#: Method names that mint a view no matter the receiver (the names are
-#: unique to the zero-copy tier in this codebase).  ``decode_region``
-#: returns columns over whatever buffer it is handed — a storage view on
-#: the query and recovery paths — so its result counts as a borrow too.
-VIEW_SOURCE_METHODS = frozenset(
-    {
-        "read_view",
-        "region_columns",
-        "decode_region",
-        "payload_view",
-        "flush_view",
-    }
-)
-
-#: Attribute names that alias storage/staging buffers: ``memoryview(x)``
-#: over one of these is a borrow even without a source call.
-BUFFER_ATTR_NAMES = frozenset({"_buf", "buffer", "_map"})
-
-#: ``np.frombuffer`` propagates (an ndarray over a borrowed buffer aliases
-#: the same bytes); these call names are treated as pass-through.
-FROMBUFFER_NAMES = frozenset({"frombuffer"})
-
-#: Calls that launder a borrow into owned bytes (the sanitizers).
-COPYING_CALLS = frozenset({"bytes", "bytearray"})
-COPYING_METHODS = frozenset({"tobytes", "copy", "deepcopy", "hex", "tolist"})
-
-#: Calls that keep the taint of their (first) argument: converting a
-#: tainted iterator/sequence to another container keeps the borrows.
-CONTAINER_CALLS = frozenset(
-    {"list", "tuple", "set", "dict", "sorted", "reversed", "iter", "enumerate"}
-)
-
-#: Methods that keep the taint of their receiver (still the same bytes).
-TAINT_PRESERVING_METHODS = frozenset({"cast", "toreadonly"})
-
-#: The ``copy=`` keyword convention: an explicit ``copy=True`` at a call
-#: site launders the result; ``copy=False`` is a borrow; forwarding a
-#: non-literal (``copy=copy``) is conservatively a borrow.
-COPY_KEYWORD = "copy"
-
-# ----------------------------------------------------------------------
-# LOOM201: the seqlock validation bracket.
-# ----------------------------------------------------------------------
-BRACKET_EXCEPTIONS = frozenset({"SnapshotRetry", "SnapshotConflictError"})
-
-# ----------------------------------------------------------------------
-# LOOM204/LOOM205: daemon-only rules.
-# ----------------------------------------------------------------------
-DAEMON_PATH_FRAGMENT = "repro/daemon/"
-
-#: Method names that hand their arguments to another thread or task.
-HANDOFF_METHODS = frozenset(
-    {
-        "put",
-        "put_nowait",
-        "submit",
-        "run_in_executor",
-        "call_soon_threadsafe",
-        "send_nowait",
-        "ensure_future",
-        "create_task",
-    }
-)
-
-#: Constructors whose ``args=``/``kwargs=`` escape to another thread.
-HANDOFF_CONSTRUCTORS = frozenset({"Thread", "Timer", "partial"})
-
-# ----------------------------------------------------------------------
-# LOOM206/LOOM208: borrow contracts.
-# ----------------------------------------------------------------------
-#: Valid lifetime tokens for ``# loomflow: borrows=<token>``:
-#:
-#: * ``snapshot`` — valid while the snapshot that produced it is in scope
-#:   and the log is not truncated under it;
-#: * ``scan``     — valid only for the current iteration step of the scan
-#:   that yielded it;
-#: * ``storage``  — valid for the lifetime of the storage object, until a
-#:   truncate/close invalidates the range;
-#: * ``call``     — valid only until the next mutating call on the object
-#:   that handed it out (e.g. a block's flush view dies at recycle).
-CONTRACT_LIFETIMES = frozenset({"snapshot", "scan", "storage", "call"})
-
-# Dunder and plainly-internal names never need a contract.
-PUBLIC_EXEMPT_PREFIX = "_"

@@ -2,12 +2,11 @@
 
 One pass parses each Python file it is pointed at and records: the
 file's dotted module name, its top-level functions and classes (with
-their methods), the per-line comments the rules consume
-(``# loomlint: disable=<rule>`` suppressions and
-``# loomflow: borrows=<lifetime>`` contracts), and an approximate call
-graph (good enough for this codebase's idioms: ``self.method()``, module
-functions, and calls through well-known component attributes such as
-``self.log`` / ``self._storage`` — see :mod:`tools.loomlint.config`).
+their methods), the ``# loomlint: disable=<rule>`` suppression comments,
+and an approximate call graph (good enough for this codebase's idioms:
+``self.method()``, module functions, and calls through well-known
+component attributes such as ``self.log`` / ``self._storage`` — see
+:mod:`tools.loomlint.config`).
 
 The analysis is deliberately conservative and *approximate*: it resolves
 calls by structure and by the typed attribute map, never by whole-program
@@ -35,7 +34,6 @@ from .config import (
 
 _SLUG_TO_CODE = {slug: code for code, (slug, _) in RULES.items()}
 _SUPPRESS_RE = re.compile(r"#\s*loomlint:\s*disable=([A-Za-z0-9_,\-]+)")
-_CONTRACT_RE = re.compile(r"#\s*loomflow:\s*borrows=([A-Za-z0-9_\-]+)")
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -49,15 +47,10 @@ class Finding:
     rule: str  # e.g. "LOOM101"
     symbol: str  # qualname of the function/module blamed
     message: str
-    #: "path:line" where the view was minted (LOOM2xx findings only).
-    borrow_site: Optional[str] = None
 
     def render(self) -> str:
         slug = RULES[self.rule][0]
-        text = f"{self.path}:{self.line}: {self.rule} [{slug}] {self.message}"
-        if self.borrow_site is not None:
-            text += f" (view borrowed at {self.borrow_site})"
-        return text
+        return f"{self.path}:{self.line}: {self.rule} [{slug}] {self.message}"
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -67,16 +60,7 @@ class Finding:
             "slug": RULES[self.rule][0],
             "symbol": self.symbol,
             "message": self.message,
-            "borrow_site": self.borrow_site,
         }
-
-
-@dataclass(frozen=True)
-class Contract:
-    """A ``# loomflow: borrows=<lifetime>`` annotation on a def."""
-
-    lifetime: str
-    line: int
 
 
 @dataclass
@@ -89,10 +73,6 @@ class FunctionInfo:
     name: str
     node: FunctionNode
     path: str
-    #: Parameter names in order (positional + kwonly), excluding self/cls.
-    params: List[str]
-    #: The def's borrow contract annotation, if any.
-    contract: Optional[Contract]
     #: Resolved callee qualnames.
     edges: Set[str] = field(default_factory=set)
 
@@ -119,8 +99,6 @@ class SourceFile:
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     #: Codes suppressed for the entire file (header comment).
     file_suppressions: Set[str] = field(default_factory=set)
-    #: lineno -> borrow contract found on that line.
-    contracts: Dict[int, Contract] = field(default_factory=dict)
 
 
 class ProjectIndex:
@@ -140,34 +118,22 @@ class ProjectIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        paths: Sequence[str],
-        root: str,
-        overrides: Optional[Dict[str, str]] = None,
-    ) -> "ProjectIndex":
-        """Index ``paths`` plus the verification engines under ``root``.
-
-        ``overrides`` maps repo-relative paths to replacement source text
-        (the mutant self-test hook; the tree on disk is never touched).
-        """
+    def build(cls, paths: Sequence[str], root: str) -> "ProjectIndex":
+        """Index ``paths`` plus the verification engines under ``root``."""
         index = cls()
         engines = [os.path.join(root, path) for path in ENGINE_PATHS]
         for file_path in _iter_python_files([*paths, *filter(os.path.isfile, engines)]):
-            index._add_file(file_path, root, overrides or {})
+            index._add_file(file_path, root)
         for fn in index.functions.values():
             index._resolve_edges(fn)
         return index
 
-    def _add_file(self, file_path: str, root: str, overrides: Dict[str, str]) -> None:
+    def _add_file(self, file_path: str, root: str) -> None:
         rel = os.path.relpath(os.path.abspath(file_path), root).replace(os.sep, "/")
         if rel in self.files:
             return
-        if rel in overrides:
-            source = overrides[rel]
-        else:
-            with open(file_path, "r", encoding="utf-8") as f:
-                source = f.read()
+        with open(file_path, "r", encoding="utf-8") as f:
+            source = f.read()
         sf = SourceFile(
             path=rel,
             module=_module_name(file_path),
@@ -204,12 +170,6 @@ class ProjectIndex:
             name=node.name,
             node=node,
             path=sf.path,
-            params=[
-                a.arg
-                for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-                if a.arg not in ("self", "cls")
-            ],
-            contract=_contract_for_def(sf, node),
         )
         self.functions[fn.qualname] = fn
         self.functions_by_name.setdefault(node.name, []).append(fn)
@@ -262,33 +222,6 @@ class ProjectIndex:
             for candidate in self.functions_by_name.get(method, ())
             if candidate.class_name is not None or candidate.module == fn.module
         ]
-
-    def resolve_call(self, call: ast.Call, caller: FunctionInfo) -> Optional[FunctionInfo]:
-        """The one definition ``call`` must dispatch to, or None: a
-        same-module name, ``self.method()`` in the enclosing class, and
-        otherwise a project-unique bare name.  (The edges above answer
-        "may call"; summaries need "does call".)"""
-        func = call.func
-        name: Optional[str] = None
-        if isinstance(func, ast.Name):
-            name = func.id
-            same_module = self.functions.get(f"{caller.module}.{name}")
-            if same_module is not None:
-                return same_module
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-            if (
-                isinstance(func.value, ast.Name)
-                and func.value.id == "self"
-                and caller.class_name is not None
-            ):
-                own = self.functions.get(f"{caller.module}.{caller.class_name}.{name}")
-                if own is not None:
-                    return own
-        if name is None:
-            return None
-        candidates = self.functions_by_name.get(name, [])
-        return candidates[0] if len(candidates) == 1 else None
 
     def subclasses_of(self, class_name: str) -> List[ClassInfo]:
         """The classes named ``class_name`` plus all project subclasses."""
@@ -402,9 +335,6 @@ def _module_name(file_path: str) -> str:
 
 def _scan_comments(sf: SourceFile, lines: Sequence[str]) -> None:
     for lineno, line in enumerate(lines, start=1):
-        contract = _CONTRACT_RE.search(line)
-        if contract:
-            sf.contracts[lineno] = Contract(contract.group(1), lineno)
         match = _SUPPRESS_RE.search(line)
         if not match:
             continue
@@ -419,16 +349,6 @@ def _scan_comments(sf: SourceFile, lines: Sequence[str]) -> None:
         if line.strip().startswith("#") and lineno <= 5:
             sf.file_suppressions |= codes
         sf.suppressions.setdefault(lineno, set()).update(codes)
-
-
-def _contract_for_def(sf: SourceFile, node: FunctionNode) -> Optional[Contract]:
-    """A contract on the def line, a decorator line, or just above."""
-    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    for lineno in range(max(1, first - 1), node.body[0].lineno + 1):
-        contract = sf.contracts.get(lineno)
-        if contract is not None:
-            return contract
-    return None
 
 
 # ----------------------------------------------------------------------

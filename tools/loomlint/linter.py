@@ -1,9 +1,8 @@
 """loomlint driver: index the tree, resolve the config, run every rule.
 
 Plain-``ast`` implementation, no plugin framework: one
-:class:`~tools.loomlint.index.ProjectIndex`, two rule modules over it
-(:mod:`~tools.loomlint.concurrency` for LOOM101-116,
-:mod:`~tools.loomlint.borrows` for LOOM201-208), one
+:class:`~tools.loomlint.index.ProjectIndex`, one rule module over it
+(:mod:`~tools.loomlint.concurrency`, LOOM101-116), one
 :class:`~tools.loomlint.index.Finding` type.
 
 Suppression: append ``# loomlint: disable=LOOM101`` (or the rule slug,
@@ -18,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from . import borrows, concurrency
+from . import concurrency
 from .config import (
     ATTR_TYPES,
     ENGINE_PATHS,
@@ -31,7 +30,7 @@ from .config import (
 )
 from .index import Finding, ProjectIndex
 
-ALL_RULES = (*concurrency.ALL_RULES, borrows.rule_borrows)
+ALL_RULES = concurrency.ALL_RULES
 
 
 class ConfigError(Exception):

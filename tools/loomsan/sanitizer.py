@@ -18,10 +18,8 @@ this module checks *behavior*, continuously:
   oracles (:func:`verify_log`) asserting ``raw_scan`` ≡ ``indexed_scan``
   ≡ shadow, timestamp-index seeks landing within one entry period,
   ``indexed_aggregate``/percentile answers inside the bounds derivable
-  from chunk-summary bins, the zero-copy view tier (mmap / extent
-  ``read_view``) byte-identical to the copying read path, and the
-  columnar ``region_columns`` decode field-identical to the scalar
-  record iterator.
+  from chunk-summary bins, and the columnar ``region_columns`` decode
+  field-identical to the scalar record iterator.
 * :func:`install` — monkey-wraps ``RecordLog`` so every instance carries
   a shadow, cheap invariants run at each ``sync`` and the full
   differential oracle at ``close``.  The whole tier-1 suite runs
@@ -43,7 +41,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core import viewguard
 from repro.core.clock import Clock
 from repro.core.config import LoomConfig
 from repro.core.errors import LoomError
@@ -486,9 +483,6 @@ FULL_CHECK_CAP = 4096
 #: How many newest records the capped raw-scan comparison still checks.
 CAPPED_SCAN_DEPTH = 1024
 
-#: Bytes probed per window when cross-checking the zero-copy view tier.
-VIEW_PROBE_BYTES = 4096
-
 #: Regions larger than this skip the full columnar-vs-scalar decode oracle.
 COLUMNAR_CHECK_CAP = 1 << 20
 
@@ -527,39 +521,6 @@ def _check_counts(
             )
 
 
-def _check_view_reads(record_log: RecordLog, failures: List[str]) -> None:
-    """Zero-copy view tier: ``read_view`` bytes ≡ ``read`` bytes.
-
-    The mmap (FileStorage) and extent (MemoryStorage) view tiers must be
-    byte-identical to the copying read path over the persisted prefix.  A
-    ``None`` view is always allowed — it only means the backend fell back
-    to a copy for that range.
-    """
-    log = record_log.log
-    persisted = log.storage.size
-    # The recycled prefix belongs to the cold tier now; probing it would
-    # (correctly) raise AddressError.
-    lo = record_log.cold_boundary
-    if persisted <= lo:
-        return
-    probe = min(VIEW_PROBE_BYTES, persisted - lo)
-    mid = lo + (persisted - lo) // 2
-    windows = {
-        (lo, probe),
-        (persisted - probe, probe),
-        (mid, min(probe, persisted - mid)),
-    }
-    for address, length in windows:
-        view = log.read_view(address, length)
-        if view is None:
-            continue
-        if bytes(view) != log.read(address, length):
-            failures.append(
-                f"zero-copy view of [{address}, {address + length}) diverges "
-                f"from the copying read path"
-            )
-
-
 def _check_columnar_decode(
     record_log: RecordLog, snapshot: Snapshot, failures: List[str]
 ) -> None:
@@ -593,7 +554,7 @@ def _check_columnar_decode(
             or int(columns.timestamps[i]) != record.timestamp
             or int(columns.prev_addrs[i]) != record.prev_addr
             or int(addresses[i]) != record.address
-            or bytes(columns.payload_view(i)) != bytes(record.payload)
+            or columns.payload_view(i) != record.payload
         ):
             failures.append(
                 f"region_columns diverges from the scalar decode at record "
@@ -924,7 +885,6 @@ def verify_log(
         return []
     failures: List[str] = []
     _check_counts(record_log, shadow, failures)
-    _check_view_reads(record_log, failures)
     snapshot = Snapshot.capture(record_log)
     _check_columnar_decode(record_log, snapshot, failures)
     for source_id, mirror in shadow.records.items():
@@ -1153,10 +1113,6 @@ def install() -> None:
     setattr(RecordLog, "apply_retention", apply_retention)
     setattr(RecordLog, "close", close)
     setattr(RecordLog, "reopen", classmethod(reopen))
-    # The view-lifetime guard rides along with every sanitized run: from
-    # here on, zero-copy views are tracked and poisoned on invalidation
-    # (see repro.core.viewguard — the runtime twin of LOOM201-208).
-    viewguard.activate()
     _installed = True
 
 
@@ -1179,5 +1135,4 @@ def uninstall() -> None:
     setattr(RecordLog, "reopen", classmethod(_originals["reopen"]))
     _originals.clear()
     _shadows.clear()
-    viewguard.deactivate()
     _installed = False
